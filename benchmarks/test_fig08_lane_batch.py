@@ -4,18 +4,18 @@ The two benchmarks run the *same* reduced Figure 8 seed-replication sweep
 (same workloads, trace length, replicates, seeds) through the batched lane
 kernel (``REPRO_LANE_KERNEL=1``, auto mode — this narrow 35-lane sweep
 resolves to the dict kernel) and the PR 3 scalar kernel one lane at a time
-(``REPRO_LANE_KERNEL=0``). They quantify this PR's speedup (committed
-baseline: ``BENCH_PR6.json``; CI gates regressions via
-``python -m repro.perf``) and double-check bit-identical sweep output
-across the two paths.
+(``REPRO_LANE_KERNEL=0``). They quantify the lane kernel's speedup (first
+recorded in ``BENCH_PR6.json``; CI gates regressions against the
+multi-round ``BENCH_PR10.json`` via ``python -m repro.perf``) and
+double-check bit-identical sweep output across the two paths.
 
 The swept workloads are the three streaming tune-set members
 (bwaves06/libquantum06/lbm06, ~12.5% L1 miss rate at this scale) whose
 replay cost is dominated by the lane-invariant front end the batch kernel
 vectorizes. The L1-thrashing tune-set members (milc06, cactus06,
 omnetpp06), where every record takes the per-lane memory-side path, have
-their own wide-sweep benchmark in ``test_fig08_lane_thrash.py`` gated by
-``BENCH_PR8.json``.
+their own wide-sweep benchmark in ``test_fig08_lane_thrash.py``, also
+gated by ``BENCH_PR10.json``.
 
 Each test installs its own *uncached* execution context: replay task keys
 do not encode ``REPRO_LANE_KERNEL``, so the session cache shared by the

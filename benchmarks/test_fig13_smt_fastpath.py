@@ -2,9 +2,10 @@
 
 The two benchmarks run the *same* reduced Figure 13 workload (same mixes,
 same scale, same seeds) through the fused SMT cycle kernel and the
-per-object pipeline. They quantify the PR's speedup (committed baseline:
-``BENCH_PR5.json``; CI gates regressions via ``python -m repro.perf``) and
-double-check bit-identical outputs across the two paths.
+per-object pipeline. They quantify the kernel's speedup (first recorded
+in ``BENCH_PR5.json``; CI gates regressions against the multi-round
+``BENCH_PR10.json`` via ``python -m repro.perf``) and double-check
+bit-identical outputs across the two paths.
 
 Each test installs its own *uncached* execution context: the session cache
 shared by the other figure benchmarks would serve the second path the first

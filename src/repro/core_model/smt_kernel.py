@@ -17,6 +17,24 @@ Every inlined stage is tagged ``# repro: mirror[...]`` against its object
 twin so rule R10 flags one-sided edits, and the runtime sanitizer
 (``REPRO_SANITIZE=1``) checks per-epoch equality end to end.
 
+The issue stage is wakeup-driven rather than a per-cycle scan of the whole
+IQ. Rename gives each entry a monotonic age and files it on the waiter
+list of every source whose producer has neither committed nor issued;
+an entry with nothing to wait for goes to the wakeup calendar (a heap of
+``(ready_at, age, entry)``) at the latest completion cycle of its sources,
+or straight to the ready heap of ``(age, entry)`` when that is no later
+than the next cycle. Issuing a producer fixes its completion cycle
+(``cycle + latency``, at least ``cycle + 1``) and moves each waiter whose
+last pending source it was into the calendar; every cycle the due
+calendar entries move to the ready heap, and up to ``issue_width`` of the
+oldest ready entries issue. The ready set and the oldest-first choice are
+exactly those of the age-ordered scan this replaced, so loads draw their
+latencies from the shared memory RNG in the same order and the RNG
+stream, every counter and every result stay bit-identical. The scan
+survives as a test oracle (``tests/test_smt_wakeup.py``). The waiter
+lists and both heaps live on the pipeline and are updated in place, so
+kernel and object path can hand a half-run pipeline to each other.
+
 The epoch-boundary hook is the kernel's only mid-run exit: after each
 epoch the per-thread committed counters and the cycle count are flushed
 and ``epoch_hook(pipeline, epoch_ipc)`` is invoked (when provided). The
@@ -154,8 +172,11 @@ def run_smt_epochs_kernel(
     irf_occ = [thread0.irf_occ, thread1.irf_occ]
     branches = [thread0.branches_in_rob, thread1.branches_in_rob]
 
-    iq = pipeline._iq
-    iq_append = iq.append
+    waiters = pipeline._iq_waiters
+    waiter_pops = (waiters[0].pop, waiters[1].pop)
+    calendar = pipeline._iq_calendar
+    ready = pipeline._iq_ready
+    iq_order = pipeline._iq_order
     sq_releases = pipeline._sq_releases
     mem_random = pipeline._mem_rng.random
     cycle = pipeline.cycle
@@ -237,45 +258,39 @@ def run_smt_epochs_kernel(
 
             # ---------------------------------------------------- issue
             # repro: mirror[smt-issue] begin
-            if iq:
-                budget = issue_width
-                issued_any = False
-                for entry in iq:
-                    if budget == 0:
-                        break
-                    ti, seq, dep1, dep2, kind = entry
-                    completion_get = completion_gets[ti]
-                    committed_seq = committed_seqs[ti]
-                    if dep1 > committed_seq:
-                        ready_at = completion_get(dep1)
-                        if ready_at is None or ready_at > cycle:
-                            continue
-                    if dep2 > committed_seq:
-                        ready_at = completion_get(dep2)
-                        if ready_at is None or ready_at > cycle:
-                            continue
-                    if kind == KIND_LOAD:
-                        # repro: mirror[smt-memory-latency] begin
-                        draw = mem_random()
-                        if draw < l1_cut[ti]:
-                            latency = l1_latency
-                        elif draw < l2_cut[ti]:
-                            latency = l2_latency
-                        else:
-                            latency = dram_latency
-                        # repro: mirror[smt-memory-latency] end
-                    elif kind == KIND_LONG:
-                        latency = long_latency[ti]
+            while calendar and calendar[0][0] <= cycle:
+                _, age, entry = heappop(calendar)
+                heappush(ready, (age, entry))
+            budget = issue_width
+            while budget and ready:
+                entry = heappop(ready)[1]
+                ti, seq, _, _, kind, _, _, _ = entry
+                if kind == KIND_LOAD:
+                    # repro: mirror[smt-memory-latency] begin
+                    draw = mem_random()
+                    if draw < l1_cut[ti]:
+                        latency = l1_latency
+                    elif draw < l2_cut[ti]:
+                        latency = l2_latency
                     else:
-                        latency = 1
-                    completions[ti][seq] = cycle + latency
-                    iq_occ[ti] -= 1
-                    entry[0] = -1
-                    issued_any = True
-                    budget -= 1
-                if issued_any:
-                    iq = [entry for entry in iq if entry[0] >= 0]
-                    iq_append = iq.append
+                        latency = dram_latency
+                    # repro: mirror[smt-memory-latency] end
+                elif kind == KIND_LONG:
+                    latency = long_latency[ti]
+                else:
+                    latency = 1
+                done_at = cycle + latency
+                completions[ti][seq] = done_at
+                iq_occ[ti] -= 1
+                budget -= 1
+                woken = waiter_pops[ti](seq, None)
+                if woken is not None:
+                    for waiter in woken:
+                        if done_at > waiter[7]:
+                            waiter[7] = done_at
+                        waiter[6] -= 1
+                        if not waiter[6]:
+                            heappush(calendar, (waiter[7], waiter[5], waiter))
             # repro: mirror[smt-issue] end
 
             # --------------------------------------------------- rename
@@ -322,7 +337,42 @@ def run_smt_epochs_kernel(
                     rob_total += 1
                     iq_occ[ti] += 1
                     iq_total += 1
-                    iq_append([ti, seq, dep1, dep2, kind])
+                    age = iq_order
+                    iq_order += 1
+                    entry = [ti, seq, dep1, dep2, kind, age, 0, 0]
+                    committed_seq = committed_seqs[ti]
+                    pending = 0
+                    ready_at = 0
+                    if dep1 > committed_seq:
+                        done_at = completion_gets[ti](dep1)
+                        if done_at is None:
+                            waiter_list = waiters[ti].get(dep1)
+                            if waiter_list is None:
+                                waiters[ti][dep1] = [entry]
+                            else:
+                                waiter_list.append(entry)
+                            pending = 1
+                        else:
+                            ready_at = done_at
+                    if dep2 > committed_seq and dep2 != dep1:
+                        done_at = completion_gets[ti](dep2)
+                        if done_at is None:
+                            waiter_list = waiters[ti].get(dep2)
+                            if waiter_list is None:
+                                waiters[ti][dep2] = [entry]
+                            else:
+                                waiter_list.append(entry)
+                            pending += 1
+                        elif done_at > ready_at:
+                            ready_at = done_at
+                    if pending:
+                        entry[6] = pending
+                        entry[7] = ready_at
+                    elif ready_at <= cycle + 1:
+                        heappush(ready, (age, entry))
+                    else:
+                        entry[7] = ready_at
+                        heappush(calendar, (ready_at, age, entry))
                     if kind == KIND_LOAD:
                         lq_occ[ti] += 1
                         lq_total += 1
@@ -507,7 +557,7 @@ def run_smt_epochs_kernel(
     thread1.branches_in_rob = branches[1]
     pipeline.cycle = cycle
     pipeline._rr_counter = rr
-    pipeline._iq = iq
+    pipeline._iq_order = iq_order
     pipeline.allowances = allowances
     activity.cycles = act_cycles
     activity.running = act_running

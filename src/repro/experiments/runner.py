@@ -285,6 +285,9 @@ class TaskRecord:
     cache_hit: bool
     #: Trace records the task replayed (0 when unknown or cache-served).
     records: int = 0
+    #: Simulated SMT cycles the task ran (0 for non-SMT or cache-served
+    #: tasks): the SMT counterpart of ``records``.
+    cycles: int = 0
     #: Resolved lane kernel that produced the payload ("array", "dict",
     #: "scalar"); ``None`` for non-lane tasks. Cache hits report the kernel
     #: that computed the stored result (all kernels are bit-identical).
@@ -313,9 +316,10 @@ class RunTelemetry:
         records: int = 0,
         lane_kernel: Optional[str] = None,
         lane_fallback: Optional[str] = None,
+        cycles: int = 0,
     ) -> None:
         self.tasks.append(TaskRecord(
-            label, key, seconds, cache_hit, records,
+            label, key, seconds, cache_hit, records, cycles=cycles,
             lane_kernel=lane_kernel, lane_fallback=lane_fallback,
         ))
 
@@ -362,6 +366,19 @@ class RunTelemetry:
         records = sum(r.records for r in executed)
         return records / seconds if seconds > 0 else 0.0
 
+    @property
+    def simulated_cycles(self) -> int:
+        """Total SMT cycles simulated by executed (non-cached) tasks."""
+        return sum(record.cycles for record in self.tasks)
+
+    @property
+    def cycles_per_second(self) -> float:
+        """SMT simulation throughput over executed tasks (0 when none ran)."""
+        executed = [r for r in self.tasks if not r.cache_hit and r.cycles]
+        seconds = sum(r.seconds for r in executed)
+        cycles = sum(r.cycles for r in executed)
+        return cycles / seconds if seconds > 0 else 0.0
+
     def summary_line(self, name: str = "run", jobs: int = 1) -> str:
         line = (
             f"[telemetry] {name}: {len(self.tasks)} tasks "
@@ -372,6 +389,9 @@ class RunTelemetry:
         throughput = self.records_per_second
         if throughput:
             line += f", {throughput:,.0f} records/s"
+        cycle_throughput = self.cycles_per_second
+        if cycle_throughput:
+            line += f", {cycle_throughput:,.0f} cycles/s"
         return line
 
     def manifest(
@@ -380,10 +400,10 @@ class RunTelemetry:
         """The JSON run manifest emitted alongside the tables.
 
         ``deterministic=True`` zeroes every wall-clock-derived field
-        (per-task seconds, totals, phases, throughput) so two runs of the
-        same figure produce byte-identical manifests — the run-to-run
-        stable part is exactly the task list, its ordering, the cache keys,
-        and the replayed-record counts.
+        (per-task seconds, totals, phases, records/s and cycles/s) so two
+        runs of the same figure produce byte-identical manifests — the
+        run-to-run stable part is exactly the task list, its ordering, the
+        cache keys, and the replayed-record and simulated-cycle counts.
         """
         body: Dict[str, Any] = {
             "manifest_version": 3,
@@ -399,6 +419,9 @@ class RunTelemetry:
                 "replayed_records": self.replayed_records,
                 "records_per_second": 0.0 if deterministic
                 else round(self.records_per_second, 3),
+                "simulated_cycles": self.simulated_cycles,
+                "cycles_per_second": 0.0 if deterministic
+                else round(self.cycles_per_second, 3),
             },
             "phases": {
                 name: 0.0 if deterministic else round(seconds, 6)
@@ -419,8 +442,10 @@ class RunTelemetry:
             "cache_hit": record.cache_hit,
             "records": record.records,
         }
-        # Lane-batch disposition: present only for lane tasks, so scalar
-        # task entries keep their v2 shape.
+        # SMT cycles and lane-batch disposition: present only for SMT and
+        # lane tasks, so scalar task entries keep their v2 shape.
+        if record.cycles:
+            entry["cycles"] = record.cycles
         if record.lane_kernel is not None:
             entry["lane_kernel"] = record.lane_kernel
             entry["lane_fallback"] = record.lane_fallback
@@ -543,6 +568,8 @@ def run_parallel(
         telemetry.record(
             task.label, key or "", seconds, cache_hit=False,
             records=replayed if isinstance(replayed, int) else 0,
+            cycles=(value.rename.cycles if isinstance(value, SMTRunResult)
+                    else 0),
             **_lane_disposition(value),
         )
 

@@ -15,8 +15,20 @@ structural hazards resolve naturally):
    the SQ (§3.3).
 2. **Issue** — up to ``issue_width`` ready uops from the shared IQ (oldest
    first); loads draw their service level (L1/L2/DRAM) from the profile.
+   Scheduling is wakeup-driven, as in gem5's O3 ``InstructionQueue``: an
+   entry waiting on an unissued producer sits on that producer's waiter
+   list; issuing the producer fixes its completion cycle and moves each
+   waiter whose last source it was into a wakeup calendar keyed by the
+   latest source completion; due calendar entries move to a ready heap
+   keyed by rename order, and issue pops the oldest of those. The ready
+   set and the oldest-first choice are exactly those of a full age-ordered
+   IQ scan (a woken consumer's earliest cycle is its producer's completion,
+   at least one cycle after the producer issues, just as in the scan), so
+   loads draw their latencies from the shared memory RNG in the same order
+   and every result is unchanged.
 3. **Rename/dispatch** — up to ``decode_width`` uops from the per-thread
-   front-end queues into the shared structures; the stage's activity is
+   front-end queues into the shared structures (each IQ entry is filed on
+   the waiter lists of its unissued producers); the stage's activity is
    classified as *running*, *idle*, or *stalled on <structure>* to reproduce
    Figure 15.
 4. **Fetch** — the PG policy picks one non-gated, non-redirecting thread and
@@ -32,7 +44,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.smt.fetch_policy import pick_thread
 from repro.smt.gating import gated_threads
@@ -47,6 +59,10 @@ from repro.smt.uop import (
 )
 from repro.util.rng import make_rng
 from repro.workloads.smt import ThreadProfile
+
+#: Unified-IQ entry: [thread, seq, dep1, dep2, kind, age, pending,
+#: ready_at] (see ``SMTPipeline.__init__``).
+IQEntry = List[Any]
 
 
 @dataclass(frozen=True)
@@ -149,8 +165,21 @@ class SMTPipeline:
         ]
         self._mem_rng = make_rng(seed, "smt-mem")
         self.cycle = 0
-        # Shared IQ: entries [thread, seq, dep1, dep2, kind].
-        self._iq: List[List[int]] = []
+        # Shared IQ, wakeup-driven. Each entry is a list
+        # [thread, seq, dep1, dep2, kind, age, pending, ready_at]: ``age``
+        # is its rename rank, ``pending`` counts sources still waiting for
+        # their producer to issue, and ``ready_at`` is the latest source
+        # completion cycle seen so far (read only while ``pending`` > 0).
+        # An entry lives in exactly one place:
+        # - on the waiter list of each unissued producer (per thread, keyed
+        #   by the producer's seq) while ``pending`` > 0;
+        # - in the calendar, a heap of (ready_at, age, entry), until
+        #   ``ready_at`` is due;
+        # - in the ready heap of (age, entry) until it issues.
+        self._iq_waiters: Tuple[Dict[int, List[IQEntry]], ...] = ({}, {})
+        self._iq_calendar: List[Tuple[float, int, IQEntry]] = []
+        self._iq_ready: List[Tuple[int, IQEntry]] = []
+        self._iq_order = 0
         # Store-drain releases: (release_cycle, thread_index).
         self._sq_releases: List[Tuple[float, int]] = []
         self._rr_counter = 0
@@ -237,26 +266,16 @@ class SMTPipeline:
 
     # repro: mirror[smt-issue]
     def _issue(self, cycle: int) -> None:
+        calendar = self._iq_calendar
+        ready = self._iq_ready
+        while calendar and calendar[0][0] <= cycle:
+            _, age, entry = heapq.heappop(calendar)
+            heapq.heappush(ready, (age, entry))
         budget = self.config.issue_width
-        iq = self._iq
-        if not iq:
-            return
-        issued_any = False
-        for entry in iq:
-            if budget == 0:
-                break
-            thread_index, seq, dep1, dep2, kind = entry
+        while budget and ready:
+            entry = heapq.heappop(ready)[1]
+            thread_index, seq, _, _, kind, _, _, _ = entry
             thread = self.threads[thread_index]
-            completion = thread.completion
-            committed_seq = thread.committed_seq
-            if dep1 > committed_seq:
-                ready_at = completion.get(dep1)
-                if ready_at is None or ready_at > cycle:
-                    continue
-            if dep2 > committed_seq:
-                ready_at = completion.get(dep2)
-                if ready_at is None or ready_at > cycle:
-                    continue
             # Issue: draw the latency and record completion.
             if kind == KIND_LOAD:
                 latency = self._memory_latency(thread.profile)
@@ -264,13 +283,20 @@ class SMTPipeline:
                 latency = thread.profile.long_op_latency
             else:
                 latency = 1
-            completion[seq] = cycle + latency
+            done_at = cycle + latency
+            thread.completion[seq] = done_at
             thread.iq_occ -= 1
-            entry[0] = -1  # mark consumed
-            issued_any = True
             budget -= 1
-        if issued_any:
-            self._iq = [entry for entry in iq if entry[0] >= 0]
+            # Wake this producer's consumers. ``done_at`` is at least
+            # cycle + 1, so none of them can issue in this cycle.
+            woken = self._iq_waiters[thread_index].pop(seq, None)
+            if woken is not None:
+                for waiter in woken:
+                    if done_at > waiter[7]:
+                        waiter[7] = done_at
+                    waiter[6] -= 1
+                    if not waiter[6]:
+                        heapq.heappush(calendar, (waiter[7], waiter[5], waiter))
 
     # repro: mirror[smt-rename]
     def _rename(self, cycle: int) -> None:
@@ -315,7 +341,29 @@ class SMTPipeline:
                 rob_total += 1
                 thread.iq_occ += 1
                 iq_total += 1
-                self._iq.append([thread_index, seq, dep1, dep2, kind])
+                age = self._iq_order
+                self._iq_order = age + 1
+                entry = [thread_index, seq, dep1, dep2, kind, age, 0, 0]
+                # A source is ready once its producer has committed or has
+                # a completion cycle; otherwise wait on the producer.
+                committed_seq = thread.committed_seq
+                waiters = self._iq_waiters[thread_index]
+                for dep in ((dep1, dep2) if dep2 != dep1 else (dep1,)):
+                    if dep > committed_seq:
+                        done_at = thread.completion.get(dep)
+                        if done_at is None:
+                            waiters.setdefault(dep, []).append(entry)
+                            entry[6] += 1
+                        elif done_at > entry[7]:
+                            entry[7] = done_at
+                if not entry[6]:
+                    # Due by next cycle's issue: skip the calendar.
+                    if entry[7] <= cycle + 1:
+                        heapq.heappush(self._iq_ready, (age, entry))
+                    else:
+                        heapq.heappush(
+                            self._iq_calendar, (entry[7], age, entry)
+                        )
                 if kind == KIND_LOAD:
                     thread.lq_occ += 1
                     lq_total += 1

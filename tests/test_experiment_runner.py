@@ -25,9 +25,11 @@ from repro.experiments.runner import (
     get_context,
     parallel_best_static_arm,
     run_parallel,
+    smt_static_task,
     task_key,
     use_context,
 )
+from repro.experiments.smt import SMTScale
 from repro.workloads.suites import spec_by_name
 
 
@@ -259,11 +261,33 @@ class TestTelemetryManifest:
         assert body["totals"]["cache_misses"] == 1
         assert body["totals"]["replayed_records"] == 1000
         assert body["totals"]["records_per_second"] == 2000.0
+        assert body["totals"]["simulated_cycles"] == 0
+        assert body["totals"]["cycles_per_second"] == 0
         assert body["phases"] == {"replay": 0.5}
         assert [t["label"] for t in body["tasks"]] == ["a", "b"]
         assert [t["records"] for t in body["tasks"]] == [1000, 0]
-        # Non-lane tasks keep the v2 entry shape.
+        # Non-lane, non-SMT tasks keep the v2 entry shape.
         assert all("lane_kernel" not in t for t in body["tasks"])
+        assert all("cycles" not in t for t in body["tasks"])
+
+    def test_smt_cycles_in_manifest_and_summary(self):
+        telemetry = RunTelemetry()
+        telemetry.record("mix:choi", "k1", 0.5, cache_hit=False, cycles=60_000)
+        telemetry.record("mix:bandit", "k2", 1.5, cache_hit=False,
+                         cycles=60_000)
+        telemetry.record("mix:cached", "k3", 0.0, cache_hit=True)
+        assert telemetry.simulated_cycles == 120_000
+        assert telemetry.cycles_per_second == 60_000
+        line = telemetry.summary_line("fig13")
+        assert line.endswith(", 60,000 cycles/s")
+        assert "records/s" not in line
+        body = telemetry.manifest()
+        assert body["totals"]["simulated_cycles"] == 120_000
+        assert body["totals"]["cycles_per_second"] == 60_000
+        assert body["totals"]["records_per_second"] == 0
+        assert [t.get("cycles") for t in body["tasks"]] == [
+            60_000, 60_000, None
+        ]
 
     def test_lane_disposition_in_manifest(self, tmp_path):
         telemetry = RunTelemetry()
@@ -292,6 +316,8 @@ class TestTelemetryManifest:
             ]
             run_parallel(tasks, jobs=4, cache=None, telemetry=telemetry)
             telemetry.add_phase("replay", 0.25 * run)
+            telemetry.record("smt", "k", 0.5 * run, cache_hit=False,
+                             cycles=3000)
             paths.append(telemetry.write_manifest(
                 tmp_path / f"run{run}.manifest.json",
                 deterministic=True, command="fig08",
@@ -299,6 +325,8 @@ class TestTelemetryManifest:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         body = json.loads(paths[0].read_text())
         assert body["totals"]["wall_seconds"] == 0.0
+        assert body["totals"]["cycles_per_second"] == 0
+        assert body["totals"]["simulated_cycles"] == 3000
         assert body["phases"]["replay"] == 0.0
         assert all(t["seconds"] == 0.0 for t in body["tasks"])
 
@@ -337,6 +365,26 @@ class TestExperimentTasks:
             assert record.cache_hit is expect_hit
             assert record.lane_kernel == "dict"
             assert record.lane_fallback is None
+
+    def test_smt_task_reports_simulated_cycles(self, tmp_path):
+        """SMT tasks report cycles on a miss and nothing on a cache hit."""
+        scale = SMTScale(epoch_cycles=100, total_epochs=3)
+        task = Task(
+            smt_static_task,
+            dict(thread_names=("gcc", "lbm"), policy_mnemonic="IC_1011",
+                 scale=scale),
+            label="gcc-lbm:choi",
+        )
+        cache = ResultCache(tmp_path)
+        for expect_hit in (False, True):
+            telemetry = RunTelemetry()
+            result = run_parallel([task], jobs=1, cache=cache,
+                                  telemetry=telemetry)[0]
+            assert result.rename.cycles == 300
+            (record,) = telemetry.tasks
+            assert record.cache_hit is expect_hit
+            assert record.cycles == (0 if expect_hit else 300)
+            assert record.records == 0
 
     def test_parallel_best_static_arm_matches_serial(self):
         trace = spec_by_name("mcf06").trace(self.TRACE_LENGTH, seed=0)
