@@ -35,6 +35,34 @@ survives as a test oracle (``tests/test_smt_wakeup.py``). The waiter
 lists and both heaps live on the pipeline and are updated in place, so
 kernel and object path can hand a half-run pipeline to each other.
 
+Quiescent cycles are skipped, the way gem5's O3 ``ActivityRecorder``
+deschedules the CPU tick while every stage is idle. Call a cycle
+quiescent when it renamed nothing, fetched nothing (no thread eligible)
+and left the ready heap empty; it may still have drained, committed or
+issued. Every following cycle then repeats it exactly until the first of
+these events (:func:`next_event_cycle`): the next store release, the next
+calendar wakeup, a thread's ROB-head completion or blocked-branch redirect
+end (once that completion is known), the epoch end, or the next
+completion prune (every 4096 cycles). Until then:
+
+- drain, commit and issue find nothing due, so the occupancies, the ROBs,
+  the IQ and the completion maps cannot move, and no producer issues, so
+  no unknown completion becomes known;
+- rename sees the same fetch-queue heads against the same occupancies, so
+  it stalls again for the same reasons (in either thread order);
+- fetch sees the same occupancies, the same per-epoch gating thresholds
+  and the same unresolved redirects, so again no thread is eligible.
+
+Nothing draws from the shared memory RNG: it draws only for committed
+stores and issued loads. The kernel therefore jumps straight to the event
+cycle and bulk-adds the skipped cycles to ``cycle`` and the round-robin
+counter (whose parity stays in step) and to the rename accounting, as
+idle or as stalled for the same reasons as the quiescent cycle. The RNG
+position, every counter and every result stay bit-identical to stepping
+each cycle, which the object path (``SMTPipeline.step``) still does; it
+is the oracle for the skip (``tests/test_smt_quiescent.py``). A prune
+cycle never starts a skip, so the prune always runs on its own cycle.
+
 The epoch-boundary hook is the kernel's only mid-run exit: after each
 epoch the per-thread committed counters and the cycle count are flushed
 and ``epoch_hook(pipeline, epoch_ipc)`` is invoked (when provided). The
@@ -48,7 +76,18 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from math import ceil
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.smt.pipeline import SMTPipeline
 from repro.smt.uop import (
@@ -90,6 +129,47 @@ def kernel_eligible(pipeline: object) -> bool:
     methods, so any override would silently be skipped.
     """
     return kernel_enabled() and type(pipeline) is SMTPipeline
+
+
+def next_event_cycle(
+    cycle: int,
+    end_cycle: int,
+    sq_releases: List[Tuple[float, int]],
+    calendar: List[Tuple[float, int, List[Any]]],
+    robs: Sequence[Deque[Tuple[int, int]]],
+    completions: Sequence[Dict[int, float]],
+    blocked_seqs: Sequence[Optional[int]],
+    mispredict_penalty: int,
+) -> int:
+    """First cycle from ``cycle`` on at which a stage may act again.
+
+    Valid when the cycle before ``cycle`` was quiescent (it renamed and
+    fetched nothing and left the ready heap empty): until the returned
+    cycle, every cycle repeats that one. The candidates are the next store
+    release, the next calendar wakeup, each thread's ROB-head completion and
+    blocked-branch redirect end (when the completion is known), the epoch
+    end and the next completion prune (cycles ``4096 * k``). A result not
+    above ``cycle`` means no cycle can be skipped.
+    """
+    wake: float = min(end_cycle, -(-cycle // 4096) * 4096)
+    if sq_releases and sq_releases[0][0] < wake:
+        wake = sq_releases[0][0]
+    if calendar and calendar[0][0] < wake:
+        wake = calendar[0][0]
+    for ti in _ORDER_01:
+        rob = robs[ti]
+        if rob:
+            done_at = completions[ti].get(rob[0][0])
+            if done_at is not None and done_at < wake:
+                wake = done_at
+        blocked = blocked_seqs[ti]
+        if blocked is not None:
+            done_at = completions[ti].get(blocked)
+            if done_at is not None and done_at + mispredict_penalty < wake:
+                wake = done_at + mispredict_penalty
+    # Events are integral cycles in practice; a fractional one takes
+    # effect at the first whole cycle that reaches it.
+    return ceil(wake)
 
 
 # repro: hot
@@ -517,6 +597,32 @@ def run_smt_epochs_kernel(
                         completions[ti] = completion
                         completion_gets[ti] = completion.get
                 # repro: mirror[smt-prune-completion] end
+            elif choice < 0 and not renamed and not ready:
+                # Quiescent: every cycle up to the next event repeats this
+                # one (see the module docstring). Jump there, counting the
+                # skipped cycles as this cycle's rename stage counted it.
+                skipped = next_event_cycle(
+                    cycle + 1, end_cycle, sq_releases, calendar, robs,
+                    completions, blocked_seqs, mispredict_penalty,
+                ) - cycle - 1
+                if skipped > 0:
+                    cycle += skipped
+                    rr += skipped
+                    act_cycles += skipped
+                    if not fetchqs[0] and not fetchqs[1]:
+                        act_idle += skipped
+                    else:
+                        act_stalled += skipped
+                        if stall_rob:
+                            act_rob += skipped
+                        if stall_iq:
+                            act_iq += skipped
+                        if stall_lq:
+                            act_lq += skipped
+                        if stall_sq:
+                            act_sq += skipped
+                        if stall_rf:
+                            act_rf += skipped
             cycle += 1
             rr += 1
 

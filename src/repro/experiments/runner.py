@@ -532,6 +532,16 @@ def run_parallel(
     reference behaviour the pool must reproduce exactly); higher values fan
     misses out over a ``ProcessPoolExecutor``. Cached results short-circuit
     execution entirely and are recorded as hits in the telemetry.
+
+    Each executed result is written to the cache as soon as it lands, so a
+    failing task or an interrupt loses no finished work: a rerun serves it
+    as a hit. In the pool a failure stops tasks that have not started, keeps
+    what the running ones finish, then raises :class:`TaskExecutionError`
+    for the earliest-submitted failure. Only the telemetry is buffered, and
+    it is recorded in submission order. The seconds spent computing task
+    keys, reading the cache, executing (the pool's wall time when pooled)
+    and writing the cache accumulate into the telemetry phases
+    ``task_key``, ``cache_get``, ``execute`` and ``cache_put``.
     """
     context = get_context()
     if jobs is None:
@@ -541,26 +551,22 @@ def run_parallel(
     if telemetry is None:
         telemetry = context.telemetry
 
+    clock = time.perf_counter
+    add_phase = telemetry.add_phase
     results: List[Any] = [None] * len(tasks)
-    pending: List[Tuple[int, Optional[str], Task]] = []
-    for index, task in enumerate(tasks):
-        key = task.key() if (cache is not None and task.cacheable) else None
-        if key is not None:
-            hit, value = cache.get(key)
-            if hit:
-                results[index] = value
-                telemetry.record(
-                    task.label, key, 0.0, cache_hit=True,
-                    **_lane_disposition(value),
-                )
-                continue
-        pending.append((index, key, task))
 
-    def finish(index: int, key: Optional[str], task: Task,
-               value: Any, seconds: float) -> None:
-        results[index] = value
-        if key is not None:
-            cache.put(key, value)
+    def store(key: Optional[str], value: Any) -> float:
+        """Cache ``value`` under ``key``; returns the seconds it took."""
+        if key is None:
+            return 0.0
+        start = clock()
+        cache.put(key, value)
+        seconds = clock() - start
+        add_phase("cache_put", seconds)
+        return seconds
+
+    def record(key: Optional[str], task: Task, value: Any,
+               seconds: float) -> None:
         if isinstance(value, dict):
             replayed = value.get("records", 0)
         else:
@@ -573,43 +579,83 @@ def run_parallel(
             **_lane_disposition(value),
         )
 
-    if not pending:
-        return results
-    if jobs <= 1 or len(pending) == 1:
+    pending: List[Tuple[int, Optional[str], Task]] = []
+    for index, task in enumerate(tasks):
+        key = None
+        if cache is not None and task.cacheable:
+            start = clock()
+            key = task.key()
+            keyed = clock()
+            hit, value = cache.get(key)
+            add_phase("task_key", keyed - start)
+            add_phase("cache_get", clock() - keyed)
+            if hit:
+                results[index] = value
+                telemetry.record(
+                    task.label, key, 0.0, cache_hit=True,
+                    **_lane_disposition(value),
+                )
+                continue
+        pending.append((index, key, task))
+
+    if jobs <= 1 or len(pending) <= 1:
         for index, key, task in pending:
+            start = clock()
             value, seconds = _execute_timed(task.fn, dict(task.kwargs))
-            finish(index, key, task, value, seconds)
+            add_phase("execute", clock() - start)
+            results[index] = value
+            store(key, value)
+            record(key, task, value, seconds)
         return results
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-        futures = {
-            pool.submit(_execute_timed, task.fn, dict(task.kwargs)):
-                (index, key, task)
-            for index, key, task in pending
-        }
-        # Buffer completions and finish() strictly in submission order, so
-        # the telemetry (and therefore the run manifest's ``tasks`` list) is
-        # deterministic regardless of worker completion order.
-        completed: Dict[int, Tuple[Any, float]] = {}
-        outstanding = set(futures)
-        try:
-            while outstanding:
-                done, outstanding = wait(
-                    outstanding, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    index, key, task = futures[future]
-                    try:
-                        completed[index] = future.result()
-                    except Exception as error:
-                        raise TaskExecutionError(task, key, error) from error
-        except BaseException:
-            for future in outstanding:
-                future.cancel()
-            raise
-    for index, key, task in pending:
-        value, seconds = completed[index]
-        finish(index, key, task, value, seconds)
+    start = clock()
+    put_seconds = 0.0
+    completed: Dict[int, float] = {}
+    failures: List[Tuple[int, Task, Optional[str], Exception]] = []
+    try:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+            futures = {
+                pool.submit(_execute_timed, task.fn, dict(task.kwargs)):
+                    (index, key, task)
+                for index, key, task in pending
+            }
+            outstanding = set(futures)
+            try:
+                while outstanding:
+                    done, outstanding = wait(
+                        outstanding, return_when=FIRST_COMPLETED
+                    )
+                    for future in done:
+                        if future.cancelled():
+                            continue
+                        index, key, task = futures[future]
+                        try:
+                            value, seconds = future.result()
+                        except Exception as error:
+                            # Start nothing new; keep what running tasks
+                            # finish.
+                            if not failures:
+                                for other in outstanding:
+                                    other.cancel()
+                            failures.append((index, task, key, error))
+                            continue
+                        results[index] = value
+                        completed[index] = seconds
+                        put_seconds += store(key, value)
+            except BaseException:
+                for future in outstanding:
+                    future.cancel()
+                raise
+    finally:
+        add_phase("execute", clock() - start - put_seconds)
+        # Telemetry in submission order, whatever order results landed
+        # in, so the run manifest is deterministic.
+        for index, key, task in pending:
+            if index in completed:
+                record(key, task, results[index], completed[index])
+    if failures:
+        _, task, key, error = min(failures, key=lambda failure: failure[0])
+        raise TaskExecutionError(task, key, error) from error
     return results
 
 

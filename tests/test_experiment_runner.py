@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.configs import PREFETCH_BANDIT_CONFIG
 from repro.experiments.prefetch import best_static_arm
+from repro.experiments import runner
 from repro.experiments.runner import (
     CACHE_SCHEMA_VERSION,
     ExecutionContext,
@@ -33,6 +34,10 @@ from repro.experiments.smt import SMTScale
 from repro.workloads.suites import spec_by_name
 
 
+#: The phases run_parallel accumulates when tasks run against a cache.
+RUNNER_PHASES = ("task_key", "cache_get", "execute", "cache_put")
+
+
 def _double(*, value):
     return value * 2
 
@@ -46,6 +51,12 @@ def _sleepy_double(*, value):
 
 def _boom(*, value):
     raise ValueError(f"kaboom {value}")
+
+
+def _boom_on(*, value, bad):
+    if value == bad:
+        raise ValueError(f"kaboom {value}")
+    return value * 2
 
 
 def _dict_payload(*, n):
@@ -229,6 +240,73 @@ class TestRunParallel:
         assert "detonator" in str(excinfo.value)
         assert isinstance(excinfo.value.__cause__, ValueError)
 
+    def test_pool_failure_keeps_finished_results(self, tmp_path):
+        """A failing task must not discard the results that did finish."""
+        cache = ResultCache(tmp_path)
+        # The failing task is submitted last, so every other task has
+        # started (and cannot be cancelled) by the time it fails.
+        tasks = [
+            Task(_boom_on, {"value": v, "bad": 4}, label=f"t{v}")
+            for v in range(5)
+        ]
+        telemetry = RunTelemetry()
+        with pytest.raises(TaskExecutionError) as excinfo:
+            run_parallel(tasks, jobs=2, cache=cache, telemetry=telemetry)
+        assert "'t4'" in str(excinfo.value)
+        assert len(cache) == 4
+        # The finished tasks still reach the telemetry, in submission order.
+        assert [r.label for r in telemetry.tasks] == ["t0", "t1", "t2", "t3"]
+        rerun = RunTelemetry()
+        results = run_parallel(tasks[:4], jobs=2, cache=cache, telemetry=rerun)
+        assert results == [0, 2, 4, 6]
+        assert (rerun.cache_hits, rerun.cache_misses) == (4, 0)
+        # The whole sweep again: four hits, and only the failure re-runs.
+        again = RunTelemetry()
+        with pytest.raises(ValueError):
+            run_parallel(tasks, jobs=2, cache=cache, telemetry=again)
+        assert (again.cache_hits, again.cache_misses) == (4, 0)
+
+    def test_pool_interrupt_keeps_landed_results(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        tasks = [Task(_double, {"value": v}, label=f"t{v}") for v in range(6)]
+        calls = []
+        real_wait = runner.wait
+
+        def interrupted_wait(*args, **kwargs):
+            # Report one landed result, then interrupt the next wait.
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            done, not_done = real_wait(*args, **kwargs)
+            first = next(iter(done))
+            return {first}, not_done | (done - {first})
+
+        monkeypatch.setattr(runner, "wait", interrupted_wait)
+        telemetry = RunTelemetry()
+        with pytest.raises(KeyboardInterrupt):
+            run_parallel(tasks, jobs=2, cache=cache, telemetry=telemetry)
+        landed = [r.label for r in telemetry.tasks]
+        assert len(landed) == 1 and len(cache) == 1
+        monkeypatch.setattr(runner, "wait", real_wait)
+        rerun = RunTelemetry()
+        assert run_parallel(tasks, jobs=2, cache=cache, telemetry=rerun) == [
+            v * 2 for v in range(6)
+        ]
+        assert [r.label for r in rerun.tasks if r.cache_hit] == landed
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runner_phases_accumulate(self, tmp_path, jobs):
+        cache = ResultCache(tmp_path)
+        tasks = [Task(_double, {"value": v}) for v in range(4)]
+        telemetry = RunTelemetry()
+        run_parallel(tasks, jobs=jobs, cache=cache, telemetry=telemetry)
+        assert set(telemetry.phases) == set(RUNNER_PHASES)
+        assert all(telemetry.phases[name] > 0 for name in RUNNER_PHASES)
+        executed = telemetry.phases["execute"]
+        run_parallel(tasks, jobs=jobs, cache=cache, telemetry=telemetry)
+        # The warm rerun adds key and lookup time but runs nothing.
+        assert telemetry.phases["execute"] == executed
+
     def test_dict_payload_records_count_in_telemetry(self):
         telemetry = RunTelemetry()
         run_parallel([Task(_dict_payload, {"n": 500}, label="batch")],
@@ -327,8 +405,29 @@ class TestTelemetryManifest:
         assert body["totals"]["wall_seconds"] == 0.0
         assert body["totals"]["cycles_per_second"] == 0
         assert body["totals"]["simulated_cycles"] == 3000
-        assert body["phases"]["replay"] == 0.0
+        # No cache: the runner records only its execution phase.
+        assert body["phases"] == {"execute": 0.0, "replay": 0.0}
         assert all(t["seconds"] == 0.0 for t in body["tasks"])
+
+    def test_deterministic_manifests_with_cache_phases(self, tmp_path):
+        """Runner phases from a cached pooled run stay byte-identical."""
+        paths = []
+        for run in (1, 2):
+            telemetry = RunTelemetry()
+            tasks = [
+                Task(_sleepy_double, {"value": v}, label=f"t{v}")
+                for v in range(4)
+            ]
+            run_parallel(tasks, jobs=2, cache=ResultCache(tmp_path / str(run)),
+                         telemetry=telemetry)
+            assert all(telemetry.phases[name] > 0 for name in RUNNER_PHASES)
+            paths.append(telemetry.write_manifest(
+                tmp_path / f"run{run}.manifest.json",
+                deterministic=True, command="fig13",
+            ))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        body = json.loads(paths[0].read_text())
+        assert body["phases"] == dict.fromkeys(sorted(RUNNER_PHASES), 0.0)
 
     def test_phase_timer_accumulates(self):
         telemetry = RunTelemetry()
