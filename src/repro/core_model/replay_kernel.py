@@ -4,10 +4,13 @@
 when the hierarchy is eligible (plain :class:`~repro.uncore.cache.Cache`
 levels, no L1 prefetcher): one Python frame replays the whole compiled
 trace with every per-record quantity — core timing scalars, cache set
-dicts, recency stamps, hit/miss/stat counters, MSHR state — held in local
-variables and written back to the model objects once, after the last
-record. This is the ChampSim-style tight loop the object path approximates:
-the simulated behaviour is bit-identical (asserted per workload suite in
+dicts, hit/miss/stat counters, MSHR state — held in local variables and
+written back to the model objects once, after the last record. Lines are
+the :mod:`repro.uncore.cache` flag ints (bit0 prefetched, bit1 used, bit2
+dirty) in each level's own set dicts, whose insertion order is the LRU
+order, so a fill or touch is a dict store and allocates nothing. This is
+the ChampSim-style tight loop the object path approximates: the simulated
+behaviour is bit-identical (asserted per workload suite in
 ``tests/test_compiled_trace.py``); only Python-level overhead — method
 dispatch, attribute loads, and per-record allocation — is removed.
 
@@ -32,7 +35,6 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.pythia import PythiaPrefetcher
-from repro.uncore.cache import CacheLine
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.core_model.trace_core import TraceCore
@@ -63,7 +65,6 @@ def run_replay_kernel(  # repro: hot
     l1_ways = l1.ways
     l1_hits = l1.hits
     l1_misses = l1.misses
-    l1_stamp = l1._stamp
     l1_resident = l1._resident
 
     l2 = hierarchy.l2
@@ -72,7 +73,6 @@ def run_replay_kernel(  # repro: hot
     l2_ways = l2.ways
     l2_hits = l2.hits
     l2_misses = l2.misses
-    l2_stamp = l2._stamp
     l2_resident = l2._resident
 
     llc = hierarchy.llc
@@ -81,7 +81,6 @@ def run_replay_kernel(  # repro: hot
     llc_ways = llc.ways
     llc_hits = llc.hits
     llc_misses = llc.misses
-    llc_stamp = llc._stamp
     llc_resident = llc._resident
 
     stats = hierarchy.stats
@@ -139,33 +138,32 @@ def run_replay_kernel(  # repro: hot
 
     # Fill helpers: closures over the set dicts and geometry; counters they
     # touch are shared cells (``nonlocal``). Bodies mirror CacheHierarchy's
-    # _fill_l2/_fill_llc (including CacheLine recycling on eviction).
+    # _fill_l2/_fill_llc. ``line`` is the incoming block's flags (bit0
+    # prefetched, bit2 dirty); a resident block only absorbs the dirty bit.
+    # repro: dtype[line: int bits<=3]
+    # repro: dtype[fill_line: int bits<=3]
+    # repro: dtype[existing: int bits<=3]
+    # repro: dtype[victim: int bits<=3]
+    # repro: dtype[l2_line: int bits<=3]
+    # repro: dtype[llc_line: int bits<=3]
+    # repro: dtype[wb_victim: int bits<=3]
 
     # repro: mirror[fill-llc]
-    def fill_llc(block: int, prefetched: bool, dirty: bool) -> None:
+    def fill_llc(block: int, line: int) -> None:
         # repro: mirror[lane-fill-llc] begin
-        nonlocal llc_stamp, llc_resident, writebacks
+        nonlocal llc_resident, writebacks
         nonlocal dram_channel_free, dram_writeback_count
         cache_set = llc_sets[block % llc_num_sets]
-        llc_stamp += 1
         existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = llc_stamp
-            existing.dirty = existing.dirty or dirty
-            cache_set[block] = existing
+            cache_set[block] = existing | (line & 4)
             return
         if len(cache_set) >= llc_ways:
             for victim_block in cache_set:
                 break
             victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            victim.block = block
-            victim.last_use = llc_stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
+            cache_set[block] = line
+            if victim & 4:
                 writebacks += 1
                 if inline_dram:
                     dram_channel_free += dram_line_cost
@@ -173,41 +171,30 @@ def run_replay_kernel(  # repro: hot
                 else:
                     dram_writeback()
         else:
-            cache_set[block] = CacheLine(block, llc_stamp, prefetched,
-                                         False, dirty)
+            cache_set[block] = line
             llc_resident += 1
         # repro: mirror[lane-fill-llc] end
 
     # repro: mirror[fill-l2]
-    def fill_l2(block: int, prefetched: bool, dirty: bool) -> None:
+    def fill_l2(block: int, line: int) -> None:
         # repro: mirror[lane-fill-l2] begin
-        nonlocal l2_stamp, l2_resident, pf_wrong
+        nonlocal l2_resident, pf_wrong
         cache_set = l2_sets[block % l2_num_sets]
-        l2_stamp += 1
         existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = l2_stamp
-            existing.dirty = existing.dirty or dirty
-            cache_set[block] = existing
+            cache_set[block] = existing | (line & 4)
             return
         if len(cache_set) >= l2_ways:
             for victim_block in cache_set:
                 break
             victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            if victim.prefetched and not victim.used:
+            if victim & 3 == 1:
                 pf_wrong += 1
-            victim.block = block
-            victim.last_use = l2_stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
-                fill_llc(victim_block, False, True)
+            cache_set[block] = line
+            if victim & 4:
+                fill_llc(victim_block, 4)
         else:
-            cache_set[block] = CacheLine(block, l2_stamp, prefetched,
-                                         False, dirty)
+            cache_set[block] = line
             l2_resident += 1
         # repro: mirror[lane-fill-l2] end
 
@@ -291,61 +278,46 @@ def run_replay_kernel(  # repro: hot
             # MSHR drain: complete every fill whose ready time has passed.
             # This is the hottest fill site (one L2+LLC fill per tracked
             # DRAM access), so both fill bodies are inlined here with their
-            # ``dirty=False`` specialization; only the rare dirty-victim
-            # cascade goes through the closure.
+            # clean-line specialization; only the rare dirty-victim cascade
+            # goes through the closure.
             while heap and heap[0][0] <= cycle:
                 fill_block = heappop(heap)[1]
                 entry = inflight_pop(fill_block, None)
                 if entry is None:
                     continue  # superseded entry
-                fill_is_prefetch = entry[1]
-                if fill_is_prefetch:
+                if entry[1]:
                     inflight_prefetches -= 1
-                # fill_l2(fill_block, fill_is_prefetch, False), inlined.
-                l2_stamp += 1
+                    fill_line = 1
+                else:
+                    fill_line = 0
+                # fill_l2(fill_block, fill_line), inlined.
                 fill_set = l2_sets[fill_block % l2_num_sets]
                 existing = fill_set.pop(fill_block, None)
                 if existing is not None:
-                    existing.last_use = l2_stamp
                     fill_set[fill_block] = existing
                 elif len(fill_set) >= l2_ways:
                     for victim_block in fill_set:
                         break
                     victim = fill_set.pop(victim_block)
-                    victim_dirty = victim.dirty
-                    if victim.prefetched and not victim.used:
+                    if victim & 3 == 1:
                         pf_wrong += 1
-                    victim.block = fill_block
-                    victim.last_use = l2_stamp
-                    victim.prefetched = fill_is_prefetch
-                    victim.used = False
-                    victim.dirty = False
-                    fill_set[fill_block] = victim
-                    if victim_dirty:
-                        fill_llc(victim_block, False, True)
+                    fill_set[fill_block] = fill_line
+                    if victim & 4:
+                        fill_llc(victim_block, 4)
                 else:
-                    fill_set[fill_block] = CacheLine(
-                        fill_block, l2_stamp, fill_is_prefetch, False, False)
+                    fill_set[fill_block] = fill_line
                     l2_resident += 1
-                # fill_llc(fill_block, fill_is_prefetch, False), inlined.
-                llc_stamp += 1
+                # fill_llc(fill_block, fill_line), inlined.
                 fill_set = llc_sets[fill_block % llc_num_sets]
                 existing = fill_set.pop(fill_block, None)
                 if existing is not None:
-                    existing.last_use = llc_stamp
                     fill_set[fill_block] = existing
                 elif len(fill_set) >= llc_ways:
                     for victim_block in fill_set:
                         break
                     victim = fill_set.pop(victim_block)
-                    victim_dirty = victim.dirty
-                    victim.block = fill_block
-                    victim.last_use = llc_stamp
-                    victim.prefetched = fill_is_prefetch
-                    victim.used = False
-                    victim.dirty = False
-                    fill_set[fill_block] = victim
-                    if victim_dirty:
+                    fill_set[fill_block] = fill_line
+                    if victim & 4:
                         writebacks += 1
                         if inline_dram:
                             dram_channel_free += dram_line_cost
@@ -353,8 +325,7 @@ def run_replay_kernel(  # repro: hot
                         else:
                             dram_writeback()
                 else:
-                    fill_set[fill_block] = CacheLine(
-                        fill_block, llc_stamp, fill_is_prefetch, False, False)
+                    fill_set[fill_block] = fill_line
                     llc_resident += 1
             next_fill_ready = heap[0][0] if heap else _INF
 
@@ -364,14 +335,11 @@ def run_replay_kernel(  # repro: hot
             # L1 hit. pop + reinsert performs the LRU touch in two dict
             # operations (a miss leaves the set untouched).
             l1_hits += 1
-            l1_stamp += 1
-            line.last_use = l1_stamp
-            line.used = True
-            cache_set[block] = line
             if is_write:
-                line.dirty = True
+                cache_set[block] = line | 6
                 retire_time += commit_cost
             else:
+                cache_set[block] = line | 2
                 ready = cycle + l1_latency
                 last_load_ready = ready
                 next_retire = retire_time + commit_cost
@@ -403,15 +371,13 @@ def run_replay_kernel(  # repro: hot
         l2_line = l2_set.pop(block, None)
         if l2_line is not None:
             l2_hits += 1
-            l2_stamp += 1
-            l2_line.last_use = l2_stamp
-            l2_line.used = True
-            l2_set[block] = l2_line
             l2_demand_hits += 1
-            if l2_line.prefetched:
+            if l2_line & 1:
                 # First demand use of a prefetched, resident line: timely.
                 pf_timely += 1
-                l2_line.prefetched = False
+                l2_set[block] = (l2_line | 2) & ~1
+            else:
+                l2_set[block] = l2_line | 2
             ready = l2_cycle + l2_latency
         else:
             l2_misses += 1
@@ -433,34 +399,23 @@ def run_replay_kernel(  # repro: hot
                 llc_line = llc_set.pop(block, None)
                 if llc_line is not None:
                     llc_hits += 1
-                    llc_stamp += 1
-                    llc_line.last_use = llc_stamp
-                    llc_line.used = True
-                    llc_set[block] = llc_line
+                    llc_set[block] = llc_line | 2
                     llc_demand_hits += 1
                     ready = llc_cycle + llc_latency
-                    # fill_l2(block, False, False), inlined (LLC-hit refill).
-                    # The block just missed the L2 probe on this record, so
-                    # the existing-line branch cannot trigger.
-                    l2_stamp += 1
+                    # fill_l2(block, 0), inlined (LLC-hit refill). The
+                    # block just missed the L2 probe on this record, so the
+                    # existing-line branch cannot trigger.
                     if len(l2_set) >= l2_ways:
                         for victim_block in l2_set:
                             break
                         victim = l2_set.pop(victim_block)
-                        victim_dirty = victim.dirty
-                        if victim.prefetched and not victim.used:
+                        if victim & 3 == 1:
                             pf_wrong += 1
-                        victim.block = block
-                        victim.last_use = l2_stamp
-                        victim.prefetched = False
-                        victim.used = False
-                        victim.dirty = False
-                        l2_set[block] = victim
-                        if victim_dirty:
-                            fill_llc(victim_block, False, True)
+                        l2_set[block] = 0
+                        if victim & 4:
+                            fill_llc(victim_block, 4)
                     else:
-                        l2_set[block] = CacheLine(block, l2_stamp, False,
-                                                  False, False)
+                        l2_set[block] = 0
                         l2_resident += 1
                 else:
                     llc_misses += 1
@@ -486,39 +441,24 @@ def run_replay_kernel(  # repro: hot
                         # bodies inlined. The block just missed both L2 and
                         # LLC on this very record, so the existing-line
                         # branch of the fills cannot trigger.
-                        l2_stamp += 1
                         if len(l2_set) >= l2_ways:
                             for victim_block in l2_set:
                                 break
                             victim = l2_set.pop(victim_block)
-                            victim_dirty = victim.dirty
-                            if victim.prefetched and not victim.used:
+                            if victim & 3 == 1:
                                 pf_wrong += 1
-                            victim.block = block
-                            victim.last_use = l2_stamp
-                            victim.prefetched = False
-                            victim.used = False
-                            victim.dirty = False
-                            l2_set[block] = victim
-                            if victim_dirty:
-                                fill_llc(victim_block, False, True)
+                            l2_set[block] = 0
+                            if victim & 4:
+                                fill_llc(victim_block, 4)
                         else:
-                            l2_set[block] = CacheLine(block, l2_stamp,
-                                                      False, False, False)
+                            l2_set[block] = 0
                             l2_resident += 1
-                        llc_stamp += 1
                         if len(llc_set) >= llc_ways:
                             for victim_block in llc_set:
                                 break
                             victim = llc_set.pop(victim_block)
-                            victim_dirty = victim.dirty
-                            victim.block = block
-                            victim.last_use = llc_stamp
-                            victim.prefetched = False
-                            victim.used = False
-                            victim.dirty = False
-                            llc_set[block] = victim
-                            if victim_dirty:
+                            llc_set[block] = 0
+                            if victim & 4:
                                 writebacks += 1
                                 if inline_dram:
                                     dram_channel_free += dram_line_cost
@@ -526,57 +466,38 @@ def run_replay_kernel(  # repro: hot
                                 else:
                                     dram_writeback()
                         else:
-                            llc_set[block] = CacheLine(block, llc_stamp,
-                                                       False, False, False)
+                            llc_set[block] = 0
                             llc_resident += 1
 
-        # Fill L1 (inlined _fill_l1 with CacheLine recycling). The block
-        # just missed the L1 probe and nothing fills the L1 in between, so
-        # no existing-line check is needed.
-        l1_stamp += 1
+        # Fill L1 (inlined _fill_l1). The block just missed the L1 probe
+        # and nothing fills the L1 in between, so no existing-line check is
+        # needed.
         if len(cache_set) >= l1_ways:
             for victim_block in cache_set:
                 break
             victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            victim.block = block
-            victim.last_use = l1_stamp
-            victim.prefetched = False
-            victim.used = False
-            victim.dirty = True if is_write else False
-            cache_set[block] = victim
-            if victim_dirty:
+            cache_set[block] = 4 if is_write else 0
+            if victim & 4:
                 # L1 writeback lands in L2 (no DRAM traffic);
-                # fill_l2(victim_block, False, True) inlined.
-                l2_stamp += 1
+                # fill_l2(victim_block, 4) inlined.
                 wb_set = l2_sets[victim_block % l2_num_sets]
                 existing = wb_set.pop(victim_block, None)
                 if existing is not None:
-                    existing.last_use = l2_stamp
-                    existing.dirty = True
-                    wb_set[victim_block] = existing
+                    wb_set[victim_block] = existing | 4
                 elif len(wb_set) >= l2_ways:
                     for wb_victim_block in wb_set:
                         break
                     wb_victim = wb_set.pop(wb_victim_block)
-                    wb_victim_dirty = wb_victim.dirty
-                    if wb_victim.prefetched and not wb_victim.used:
+                    if wb_victim & 3 == 1:
                         pf_wrong += 1
-                    wb_victim.block = victim_block
-                    wb_victim.last_use = l2_stamp
-                    wb_victim.prefetched = False
-                    wb_victim.used = False
-                    wb_victim.dirty = True
-                    wb_set[victim_block] = wb_victim
-                    if wb_victim_dirty:
-                        fill_llc(wb_victim_block, False, True)
+                    wb_set[victim_block] = 4
+                    if wb_victim & 4:
+                        fill_llc(wb_victim_block, 4)
                 else:
-                    wb_set[victim_block] = CacheLine(victim_block, l2_stamp,
-                                                     False, False, True)
+                    wb_set[victim_block] = 4
                     l2_resident += 1
         else:
-            cache_set[block] = CacheLine(block, l1_stamp, False, False,
-                                         True if is_write else False)
+            cache_set[block] = 4 if is_write else 0
             l1_resident += 1
 
         if observe is not None:
@@ -648,15 +569,12 @@ def run_replay_kernel(  # repro: hot
 
     l1.hits = l1_hits
     l1.misses = l1_misses
-    l1._stamp = l1_stamp
     l1._resident = l1_resident
     l2.hits = l2_hits
     l2.misses = l2_misses
-    l2._stamp = l2_stamp
     l2._resident = l2_resident
     llc.hits = llc_hits
     llc.misses = llc_misses
-    llc._stamp = llc_stamp
     llc._resident = llc_resident
 
     stats.loads = loads

@@ -9,8 +9,10 @@ experiment CLI), every compiled-trace replay also runs the same trace
 through the object path on a shadow copy of the stack and asserts
 step-by-step equality — per-checkpoint instruction counts, cycles, IPC
 and L2 demand accesses, and (for bandit runs) the per-step arm choices
-and DUCB state. The first divergence aborts the run with a report naming
-the step, the field, and both values.
+and DUCB state. Hook-free replays also compare the final cache contents
+(every set's blocks in recency order with their line flags, resident
+counts) and the MSHR state. The first divergence aborts the run with a
+report naming the step, the field, and both values.
 
 This is a debugging/verification mode: it replays every trace twice and
 checkpoints frequently, so expect roughly 2-3x the runtime. Run it after
@@ -163,6 +165,51 @@ def _compare_stats(
                 context, -1, f"stats.{stats_field.name}",
                 kernel_value, object_value,
             )
+
+
+def compare_hierarchy_contents(
+    kernel_core: "TraceCore", object_core: "TraceCore", context: str
+) -> None:
+    """Final cache and MSHR contents comparison.
+
+    Each level's sets are compared as ``(block, flags)`` lists, which
+    covers recency order (dict order, LRU first) as well as the line
+    flags; then the resident counts, the MSHR in-flight map and its
+    ready heap. A divergence names the level and set index.
+    """
+    kernel_hierarchy = kernel_core.hierarchy
+    object_hierarchy = object_core.hierarchy
+    for level in ("l1", "l2", "llc"):
+        kernel_cache = getattr(kernel_hierarchy, level)
+        object_cache = getattr(object_hierarchy, level)
+        for index, (kernel_set, object_set) in enumerate(
+            zip(kernel_cache._sets, object_cache._sets)
+        ):
+            kernel_lines = list(kernel_set.items())
+            object_lines = list(object_set.items())
+            if kernel_lines != object_lines:
+                raise SanitizeDivergence(
+                    context, -1, f"{level}.sets[{index}]",
+                    kernel_lines, object_lines,
+                )
+        if kernel_cache._resident != object_cache._resident:
+            raise SanitizeDivergence(
+                context, -1, f"{level}.resident",
+                kernel_cache._resident, object_cache._resident,
+            )
+    kernel_mshr = kernel_hierarchy.mshr
+    object_mshr = object_hierarchy.mshr
+    if kernel_mshr._inflight != object_mshr._inflight:
+        raise SanitizeDivergence(
+            context, -1, "mshr.inflight",
+            kernel_mshr._inflight, object_mshr._inflight,
+        )
+    kernel_heap = sorted(kernel_mshr._heap)
+    object_heap = sorted(object_mshr._heap)
+    if kernel_heap != object_heap:
+        raise SanitizeDivergence(
+            context, -1, "mshr.heap", kernel_heap, object_heap
+        )
 
 
 def verify_lane_batch(
@@ -377,3 +424,4 @@ def run_sanitized_replay(
 
     compare_step_logs(kernel_log, object_log, context="run_compiled")
     _compare_stats(core, shadow, context="run_compiled")
+    compare_hierarchy_contents(core, shadow, context="run_compiled")

@@ -18,6 +18,7 @@ hierarchy with a chosen prefetcher configuration:
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -99,6 +100,9 @@ def make_prefetcher(
 
     ``hierarchy_holder`` is a one-element list the runner fills with the
     hierarchy after construction; Pythia uses it for its bandwidth probe.
+    The runners store a ``weakref.proxy``: the hierarchy owns the
+    prefetcher, which owns the probe, so a strong reference would make
+    every Pythia stack a reference cycle left for the cyclic GC.
     """
     if name == "none":
         return None
@@ -145,7 +149,7 @@ def run_fixed_prefetcher(
         built = CacheHierarchy(
             hierarchy_config, l2_prefetcher=prefetcher, l1_prefetcher=l1
         )
-        holder.append(built)
+        holder.append(weakref.proxy(built))
         return TraceCore(built, core_config)
 
     core = build_core(l1_prefetcher)
@@ -415,7 +419,7 @@ def run_multicore_fixed(
         len(traces), hierarchy_config, core_config, prefetchers
     )
     for index, holder in enumerate(holders):
-        holder.append(system.hierarchies[index])
+        holder.append(weakref.proxy(system.hierarchies[index]))
     system.run(traces)
     return system.total_ipc(), system
 

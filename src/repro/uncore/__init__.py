@@ -5,7 +5,7 @@ three-level cache hierarchy (private L1/L2, shared LLC) over a
 bandwidth-limited DRAM model with configurable MTPS (Figure 10's sweep).
 """
 
-from repro.uncore.cache import Cache, CacheLine
+from repro.uncore.cache import Cache
 from repro.uncore.dram import DRAMModel, mtps_to_cycles_per_line
 from repro.uncore.hierarchy import (
     CacheHierarchy,
@@ -28,7 +28,6 @@ __all__ = [
     "BRRIP",
     "Cache",
     "CacheHierarchy",
-    "CacheLine",
     "DRAMModel",
     "DRRIP",
     "HierarchyConfig",

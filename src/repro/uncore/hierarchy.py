@@ -19,7 +19,7 @@ from heapq import heappush
 from typing import Optional
 
 from repro.prefetch.base import Prefetcher
-from repro.uncore.cache import Cache, CacheLine
+from repro.uncore.cache import LINE_DIRTY, LINE_PREFETCHED, Cache
 from repro.uncore.dram import DRAMModel
 from repro.uncore.mshr import MSHR
 from repro.workloads.trace import BLOCK_SHIFT
@@ -137,10 +137,12 @@ class CacheHierarchy:
         Byte-for-byte equivalent to :meth:`_demand_access_generic` (the
         readable reference implementation it falls back to whenever a cache
         level is a replacement-policy subclass): same counter updates in the
-        same order, same recency stamps, same fill cascades. The fusion only
-        removes per-access method-call overhead — ``Cache.lookup`` /
-        ``Cache.insert`` / ``MSHR.drain_completed`` dispatches on the replay
-        hot loop.
+        same order, same recency order and line flags, same fill cascades.
+        The fusion only removes per-access method-call overhead —
+        ``Cache.lookup`` / ``Cache.insert`` / ``MSHR.drain_completed``
+        dispatches on the replay hot loop. Line flags are the
+        :mod:`repro.uncore.cache` encoding (bit0 prefetched, bit1 used,
+        bit2 dirty).
         """
         l1 = self.l1
         l2 = self.l2
@@ -155,24 +157,17 @@ class CacheHierarchy:
         if heap and heap[0][0] <= cycle:
             mshr.drain_completed(cycle, self._install_fill)
 
-        # Inlined l1.lookup(block).
+        # Inlined l1.lookup(block) (+ the write's dirty bit).
         cache_set = l1._sets[block % l1.num_sets]
-        line = cache_set.get(block)
+        line = cache_set.pop(block, None)
         if line is None:
             l1.misses += 1
         else:
             l1.hits += 1
-            stamp = l1._stamp + 1
-            l1._stamp = stamp
-            line.last_use = stamp
-            line.used = True
-            del cache_set[block]
-            cache_set[block] = line
+            cache_set[block] = (line | 6) if is_write else (line | 2)
         if self.l1_prefetcher is not None:
             self._run_l1_prefetcher(pc, block, cycle, hit=line is not None)
         if line is not None:
-            if is_write:
-                line.dirty = True
             return cycle + config.l1_latency
 
         # L1 miss -> L2 demand access; this stream trains the L2 prefetcher.
@@ -181,20 +176,16 @@ class CacheHierarchy:
         stats.l2_demand_accesses += 1
         # Inlined l2.lookup(block).
         l2_set = l2._sets[block % l2.num_sets]
-        l2_line = l2_set.get(block)
+        l2_line = l2_set.pop(block, None)
         if l2_line is not None:
             l2.hits += 1
-            stamp = l2._stamp + 1
-            l2._stamp = stamp
-            l2_line.last_use = stamp
-            l2_line.used = True
-            del l2_set[block]
-            l2_set[block] = l2_line
             stats.l2_demand_hits += 1
-            if l2_line.prefetched:
+            if l2_line & 1:
                 # First demand use of a prefetched, resident line: timely.
                 stats.prefetch.timely += 1
-                l2_line.prefetched = False
+                l2_set[block] = (l2_line | 2) & ~1
+            else:
+                l2_set[block] = l2_line | 2
             ready = l2_cycle + config.l2_latency
         else:
             l2.misses += 1
@@ -214,18 +205,13 @@ class CacheHierarchy:
                 stats.llc_demand_accesses += 1
                 # Inlined llc.lookup(block).
                 llc_set = llc._sets[block % llc.num_sets]
-                llc_line = llc_set.get(block)
+                llc_line = llc_set.pop(block, None)
                 if llc_line is not None:
                     llc.hits += 1
-                    stamp = llc._stamp + 1
-                    llc._stamp = stamp
-                    llc_line.last_use = stamp
-                    llc_line.used = True
-                    del llc_set[block]
-                    llc_set[block] = llc_line
+                    llc_set[block] = llc_line | 2
                     stats.llc_demand_hits += 1
                     ready = llc_cycle + config.llc_latency
-                    self._fill_l2(block, prefetched=False)
+                    self._fill_l2(block, 0)
                 else:
                     llc.misses += 1
                     # DRAM fill through the MSHR (allocate inlined; the
@@ -240,26 +226,22 @@ class CacheHierarchy:
                         # MSHR pressure: the fill still happens, just
                         # untracked (the demand already paid its latency).
                         self._install_fill(block, ready, False)
-        # Inlined _fill_l1(block, dirty=is_write).
-        stamp = l1._stamp + 1
-        l1._stamp = stamp
-        existing = cache_set.get(block)
+        # Inlined _fill_l1(block, dirty=is_write). An L1 prefetcher may
+        # have filled the block since the probe above.
+        existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = stamp
-            existing.dirty = existing.dirty or is_write
-            del cache_set[block]
-            cache_set[block] = existing
+            cache_set[block] = (existing | 4) if is_write else existing
         else:
-            victim = None
+            victim = 0
             if len(cache_set) >= l1.ways:
                 victim_block = next(iter(cache_set))
                 victim = cache_set.pop(victim_block)
                 l1._resident -= 1
-            cache_set[block] = CacheLine(block, stamp, False, False, is_write)
+            cache_set[block] = 4 if is_write else 0
             l1._resident += 1
-            if victim is not None and victim.dirty:
+            if victim & 4:
                 # L1 writeback lands in L2 (no DRAM traffic).
-                self._fill_l2(victim.block, prefetched=False, dirty=True)
+                self._fill_l2(victim_block, 4)
         if self.l2_prefetcher is not None:
             self._run_l2_prefetcher(pc, block, cycle, hit=l2_line is not None)
         return ready
@@ -274,12 +256,13 @@ class CacheHierarchy:
         if mshr.has_inflight:
             mshr.drain_completed(cycle, self._install_fill)
 
-        line = self.l1.lookup(block)
+        l1 = self.l1
+        line = l1.lookup(block)
+        if line is not None and is_write:
+            l1.set_flags(block, line | LINE_DIRTY)
         if self.l1_prefetcher is not None:
             self._run_l1_prefetcher(pc, block, cycle, hit=line is not None)
         if line is not None:
-            if is_write:
-                line.dirty = True
             return cycle + config.l1_latency
 
         # L1 miss -> L2 demand access; this stream trains the L2 prefetcher.
@@ -289,10 +272,10 @@ class CacheHierarchy:
         l2_line = self.l2.lookup(block)
         if l2_line is not None:
             stats.l2_demand_hits += 1
-            if l2_line.prefetched:
+            if l2_line & LINE_PREFETCHED:
                 # First demand use of a prefetched, resident line: timely.
                 stats.prefetch.timely += 1
-                l2_line.prefetched = False
+                self.l2.set_flags(block, l2_line & ~LINE_PREFETCHED)
             ready = l2_cycle + config.l2_latency
         else:
             ready = self._l2_miss(block, l2_cycle)
@@ -319,7 +302,7 @@ class CacheHierarchy:
         if llc_line is not None:
             self.stats.llc_demand_hits += 1
             ready = llc_cycle + config.llc_latency
-            self._fill_l2(block, prefetched=False)
+            self._fill_l2(block, 0)
             return ready
 
         # DRAM fill through the MSHR.
@@ -336,102 +319,81 @@ class CacheHierarchy:
     # ---------------------------------------------------------------- fills
 
     def _install_fill(self, block: int, ready_cycle: float, is_prefetch: bool) -> None:
+        line = 0
         if is_prefetch:
             self._inflight_prefetches -= 1
-        self._fill_l2(block, prefetched=is_prefetch)
-        self._fill_llc(block, prefetched=is_prefetch)
+            line = LINE_PREFETCHED
+        self._fill_l2(block, line)
+        self._fill_llc(block, line)
 
     def _fill_l1(self, block: int, *, dirty: bool) -> None:
         victim = self.l1.insert(block, dirty=dirty)
-        if victim is not None and victim.dirty:
+        if victim is not None and victim[1] & LINE_DIRTY:
             # L1 writeback lands in L2 (no DRAM traffic).
-            self._fill_l2(victim.block, prefetched=False, dirty=True)
+            self._fill_l2(victim[0], LINE_DIRTY)
 
     # repro: mirror[fill-l2]
-    def _fill_l2(  # repro: hot
-        self, block: int, *, prefetched: bool, dirty: bool = False
-    ) -> None:
+    def _fill_l2(self, block: int, line: int) -> None:  # repro: hot
         """Fill into L2: fused ``insert`` + victim handling for plain caches.
 
-        On the eviction path the victim :class:`CacheLine` object is
-        recycled for the incoming block (its fields are read out first), so
-        a warm cache fills without allocating.
+        ``line`` is the incoming flags (bit0 prefetched, bit2 dirty); a
+        resident block only absorbs the dirty bit. The evicted line's
+        flags decide the wrong-prefetch count (``victim & 3 == 1``:
+        prefetched, never used) and the dirty cascade into the LLC.
         """
         l2 = self.l2
         if type(l2) is not Cache:
-            victim = l2.insert(block, prefetched=prefetched, dirty=dirty)
-            if victim is not None:
-                if victim.prefetched and not victim.used:
+            evicted = l2.insert(block, prefetched=bool(line & LINE_PREFETCHED),
+                                dirty=bool(line & LINE_DIRTY))
+            if evicted is not None:
+                if evicted[1] & 3 == LINE_PREFETCHED:
                     self.stats.prefetch.wrong += 1
-                if victim.dirty:
-                    self._fill_llc(victim.block, prefetched=False, dirty=True)
+                if evicted[1] & LINE_DIRTY:
+                    self._fill_llc(evicted[0], LINE_DIRTY)
             return
         cache_set = l2._sets[block % l2.num_sets]
-        stamp = l2._stamp + 1
-        l2._stamp = stamp
-        existing = cache_set.get(block)
+        existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = stamp
-            existing.dirty = existing.dirty or dirty
-            del cache_set[block]
-            cache_set[block] = existing
+            cache_set[block] = existing | (line & 4)
             return
         if len(cache_set) >= l2.ways:
             victim_block = next(iter(cache_set))
             victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            if victim.prefetched and not victim.used:
+            if victim & 3 == 1:
                 self.stats.prefetch.wrong += 1
-            victim.block = block
-            victim.last_use = stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
-                self._fill_llc(victim_block, prefetched=False, dirty=True)
+            cache_set[block] = line
+            if victim & 4:
+                self._fill_llc(victim_block, 4)
         else:
-            cache_set[block] = CacheLine(block, stamp, prefetched, False, dirty)
+            cache_set[block] = line
             l2._resident += 1
 
     # repro: mirror[fill-llc]
-    def _fill_llc(  # repro: hot
-        self, block: int, *, prefetched: bool, dirty: bool = False
-    ) -> None:
+    def _fill_llc(self, block: int, line: int) -> None:  # repro: hot
         llc = self.llc
         if type(llc) is not Cache:
-            victim = llc.insert(block, prefetched=prefetched, dirty=dirty)
-            if victim is not None and victim.dirty:
+            evicted = llc.insert(block, prefetched=bool(line & LINE_PREFETCHED),
+                                 dirty=bool(line & LINE_DIRTY))
+            if evicted is not None and evicted[1] & LINE_DIRTY:
                 self.stats.writebacks += 1
                 # Dirty LLC victims consume DRAM bandwidth; no one waits.
                 self.dram.writeback()
             return
         cache_set = llc._sets[block % llc.num_sets]
-        stamp = llc._stamp + 1
-        llc._stamp = stamp
-        existing = cache_set.get(block)
+        existing = cache_set.pop(block, None)
         if existing is not None:
-            existing.last_use = stamp
-            existing.dirty = existing.dirty or dirty
-            del cache_set[block]
-            cache_set[block] = existing
+            cache_set[block] = existing | (line & 4)
             return
         if len(cache_set) >= llc.ways:
             victim_block = next(iter(cache_set))
             victim = cache_set.pop(victim_block)
-            victim_dirty = victim.dirty
-            victim.block = block
-            victim.last_use = stamp
-            victim.prefetched = prefetched
-            victim.used = False
-            victim.dirty = dirty
-            cache_set[block] = victim
-            if victim_dirty:
+            cache_set[block] = line
+            if victim & 4:
                 self.stats.writebacks += 1
                 # Dirty LLC victims consume DRAM bandwidth; no one waits.
                 self.dram.writeback()
         else:
-            cache_set[block] = CacheLine(block, stamp, prefetched, False, dirty)
+            cache_set[block] = line
             llc._resident += 1
 
     # ------------------------------------------------------------ prefetching
@@ -483,7 +445,13 @@ class CacheHierarchy:
     def finalize(self) -> None:
         """Flush in-flight fills and count never-used prefetched lines."""
         self.mshr.flush(self._install_fill)
-        for line in self.l2.resident_lines():
-            if line.prefetched and not line.used:
-                self.stats.prefetch.wrong += 1
-                line.prefetched = False
+        if not self.stats.prefetch.issued:
+            # Only issued prefetches ever set a line's prefetched bit.
+            return
+        wrong = 0
+        for cache_set in self.l2._sets:
+            for block, flags in cache_set.items():
+                if flags & 3 == LINE_PREFETCHED:
+                    wrong += 1
+                    cache_set[block] = flags & ~LINE_PREFETCHED
+        self.stats.prefetch.wrong += wrong

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional
 
-from repro.uncore.cache import Cache, CacheLine
+from repro.uncore.cache import LINE_DIRTY, LINE_PREFETCHED, Cache
 
 
 class ReplacementPolicy:
@@ -34,9 +34,13 @@ class ReplacementPolicy:
         """``block`` left the cache."""
 
     def choose_victim(
-        self, set_index: int, candidates: Dict[int, CacheLine]
+        self, set_index: int, candidates: Dict[int, int]
     ) -> int:
-        """Pick the block to evict from a full set."""
+        """Pick the block to evict from a full set.
+
+        ``candidates`` is the set itself (block -> line flags) in recency
+        order, least recently used first.
+        """
         raise NotImplementedError
 
 
@@ -46,7 +50,8 @@ class LRUReplacement(ReplacementPolicy):
     name = "lru"
 
     def choose_victim(self, set_index, candidates):
-        return min(candidates, key=lambda block: candidates[block].last_use)
+        # The set's dict order is its recency order: LRU first.
+        return next(iter(candidates))
 
 
 class RandomReplacement(ReplacementPolicy):
@@ -179,13 +184,13 @@ class PolicyCache(Cache):
         self.policy = policy if policy is not None else LRUReplacement()
 
     def lookup(self, block: int, *, update: bool = True):
-        line = super().lookup(block, update=update)
+        flags = super().lookup(block, update=update)
         set_index = block % self.num_sets
-        if line is not None and update:
+        if flags is not None and update:
             self.policy.on_hit(set_index, block)
-        elif line is None and isinstance(self.policy, DRRIP):
+        elif flags is None and isinstance(self.policy, DRRIP):
             self.policy.record_miss(set_index)
-        return line
+        return flags
 
     def insert(self, block: int, *, prefetched: bool = False,
                dirty: bool = False):
@@ -193,17 +198,16 @@ class PolicyCache(Cache):
         set_index = block % self.num_sets
         if block in cache_set:
             return super().insert(block, prefetched=prefetched, dirty=dirty)
-        victim_line = None
+        victim = None
         if len(cache_set) >= self.ways:
             victim_block = self.policy.choose_victim(set_index, cache_set)
-            victim_line = cache_set.pop(victim_block)
+            victim = (victim_block, cache_set.pop(victim_block))
             self._resident -= 1
             self.policy.on_evict(set_index, victim_block)
-        self._stamp += 1
-        cache_set[block] = CacheLine(
-            block=block, last_use=self._stamp, prefetched=prefetched,
-            used=False, dirty=dirty,
+        cache_set[block] = (
+            (LINE_PREFETCHED if prefetched else 0)
+            | (LINE_DIRTY if dirty else 0)
         )
         self._resident += 1
         self.policy.on_insert(set_index, block)
-        return victim_line
+        return victim

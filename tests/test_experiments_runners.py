@@ -1,5 +1,7 @@
 """Integration tests for the experiment runners (small but end-to-end)."""
 
+import gc
+
 import pytest
 
 from repro.bandit.base import BanditConfig
@@ -21,6 +23,8 @@ from repro.experiments.smt import (
     smt_best_static_arm,
 )
 from repro.smt.pg_policy import CHOI_POLICY
+from repro.uncore.hierarchy import CacheHierarchy
+from repro.workloads.compiled import CompiledTrace
 from repro.workloads.smt import smt_tune_mixes
 from repro.workloads.suites import spec_by_name
 
@@ -82,6 +86,31 @@ class TestBandwidthProbe:
 
         assert _make_bandwidth_probe([])() == 0.0
         assert _make_bandwidth_probe(None)() == 0.0
+
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_pythia_run_leaves_no_hierarchy_alive(self, monkeypatch,
+                                                  sanitize, compiled):
+        """The probe must not tie the stack into a reference cycle."""
+        monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+        trace = TRACE[:1500]
+        if compiled:
+            trace = CompiledTrace.from_records(trace)
+
+        def live_hierarchies():
+            return sum(isinstance(obj, CacheHierarchy)
+                       for obj in gc.get_objects())
+
+        gc.collect()
+        before = live_hierarchies()
+        gc.disable()
+        try:
+            result = run_fixed_prefetcher(trace, "pythia")
+            after = live_hierarchies()
+        finally:
+            gc.enable()
+        assert result.ipc > 0
+        assert after == before
 
 
 class TestSingleCoreRunners:

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.uncore.cache import Cache
+from repro.uncore.cache import LINE_DIRTY, LINE_PREFETCHED, LINE_USED, Cache
+from repro.uncore.replacement import LRUReplacement, PolicyCache
 
 
 class TestGeometry:
@@ -27,8 +28,7 @@ class TestLookupInsert:
         cache = self.make()
         assert cache.lookup(5) is None
         cache.insert(5)
-        line = cache.lookup(5)
-        assert line is not None and line.block == 5
+        assert cache.lookup(5) == LINE_USED
         assert cache.hits == 1 and cache.misses == 1
 
     def test_contains_does_not_count(self):
@@ -45,7 +45,7 @@ class TestLookupInsert:
         cache.insert(4)
         cache.lookup(0)  # refresh 0: now 4 is LRU
         victim = cache.insert(8)
-        assert victim is not None and victim.block == 4
+        assert victim is not None and victim[0] == 4
         assert cache.contains(0) and cache.contains(8)
 
     def test_reinsert_refreshes_in_place(self):
@@ -54,27 +54,59 @@ class TestLookupInsert:
         cache.insert(4)
         assert cache.insert(0) is None  # refresh, no eviction
         victim = cache.insert(8)
-        assert victim.block == 4
+        assert victim[0] == 4
 
     def test_dirty_preserved_on_reinsert(self):
         cache = self.make()
         cache.insert(0, dirty=True)
         cache.insert(0, dirty=False)
-        assert cache.lookup(0).dirty
+        assert cache.lookup(0) & LINE_DIRTY
 
     def test_prefetched_and_used_flags(self):
         cache = self.make()
         cache.insert(3, prefetched=True)
-        line = cache.lookup(3)
-        assert line.prefetched and line.used
+        flags = cache.lookup(3)
+        assert flags & LINE_PREFETCHED and flags & LINE_USED
 
     def test_invalidate(self):
         cache = self.make()
         cache.insert(7)
         removed = cache.invalidate(7)
-        assert removed.block == 7
+        assert removed == 0  # resident, clean, never used
         assert cache.invalidate(7) is None
         assert not cache.contains(7)
+
+    def test_victim_carries_its_flags(self):
+        cache = self.make()
+        cache.insert(0, prefetched=True)
+        cache.insert(4, dirty=True)
+        assert cache.insert(8) == (0, LINE_PREFETCHED)
+        assert cache.insert(12) == (4, LINE_DIRTY)
+
+    def test_lookup_without_update_keeps_order_and_flags(self):
+        cache = self.make()
+        cache.insert(0)
+        cache.insert(4)
+        assert cache.lookup(0, update=False) == 0
+        assert list(cache._sets[0]) == [0, 4]
+
+    def test_set_flags_keeps_recency(self):
+        cache = self.make()
+        cache.insert(0)
+        cache.insert(4)
+        cache.set_flags(0, LINE_DIRTY)
+        assert list(cache._sets[0].items()) == [(0, LINE_DIRTY), (4, 0)]
+        with pytest.raises(KeyError):
+            cache.set_flags(8, 0)
+
+    def test_resident_lines_yields_blocks_and_flags(self):
+        cache = self.make()
+        cache.insert(1, dirty=True)
+        cache.insert(0)
+        cache.insert(4, prefetched=True)
+        assert sorted(cache.resident_lines()) == [
+            (0, 0), (1, LINE_DIRTY), (4, LINE_PREFETCHED)
+        ]
 
     def test_reset_stats(self):
         cache = self.make()
@@ -115,3 +147,62 @@ class TestInvariants:
             if cache.lookup(block) is None:
                 cache.insert(block)
         assert cache.hits + cache.misses == len(blocks)
+
+
+class TestRecencyModel:
+    """Each set's key order is LRU order, checked against a list model."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["cache", "policy-lru"]),
+        st.lists(
+            st.tuples(st.sampled_from(["lookup", "insert"]),
+                      st.integers(min_value=0, max_value=40),
+                      st.booleans(), st.booleans()),
+            min_size=1, max_size=300,
+        ),
+    )
+    def test_set_order_and_flags_match_list_lru(self, kind, ops):
+        if kind == "cache":
+            cache = Cache("p", size_bytes=4 * 3 * 64, ways=3)
+        else:
+            cache = PolicyCache("p", size_bytes=4 * 3 * 64, ways=3,
+                                policy=LRUReplacement())
+        # Per set: [block, flags] pairs, least recently used first.
+        model = [[] for _ in range(cache.num_sets)]
+        for op, block, prefetched, dirty in ops:
+            lines = model[block % cache.num_sets]
+            resident = [entry for entry in lines if entry[0] == block]
+            if op == "lookup":
+                flags = cache.lookup(block)
+                if resident:
+                    entry = resident[0]
+                    lines.remove(entry)
+                    entry[1] |= LINE_USED
+                    lines.append(entry)
+                    assert flags == entry[1]
+                else:
+                    assert flags is None
+            else:
+                victim = cache.insert(block, prefetched=prefetched,
+                                      dirty=dirty)
+                if resident:
+                    entry = resident[0]
+                    lines.remove(entry)
+                    if dirty:
+                        entry[1] |= LINE_DIRTY
+                    lines.append(entry)
+                    assert victim is None
+                else:
+                    expected = (
+                        tuple(lines.pop(0)) if len(lines) >= cache.ways
+                        else None
+                    )
+                    assert victim == expected
+                    lines.append([block, (LINE_PREFETCHED if prefetched
+                                          else 0)
+                                  | (LINE_DIRTY if dirty else 0)])
+            assert [list(s.items()) for s in cache._sets] == [
+                [tuple(entry) for entry in lines] for lines in model
+            ]
+        assert cache.occupancy() == sum(len(lines) for lines in model)

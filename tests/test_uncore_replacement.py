@@ -25,7 +25,7 @@ class TestLRUPolicy:
         cache.insert(4)
         cache.lookup(0)
         victim = cache.insert(8)
-        assert victim.block == 4
+        assert victim[0] == 4
 
 
 class TestRandomPolicy:
@@ -34,7 +34,7 @@ class TestRandomPolicy:
         cache.insert(0)
         cache.insert(4)
         victim = cache.insert(8)
-        assert victim.block in (0, 4)
+        assert victim[0] in (0, 4)
 
     def test_deterministic_per_seed(self):
         def run(seed):
@@ -43,7 +43,7 @@ class TestRandomPolicy:
             for block in range(0, 64, 4):
                 victim = cache.insert(block)
                 if victim:
-                    victims.append(victim.block)
+                    victims.append(victim[0])
             return victims
 
         assert run(3) == run(3)
@@ -67,7 +67,7 @@ class TestSRRIP:
         cache.lookup(0)       # promote block 0 (RRPV -> 0)
         cache.insert(4)       # RRPV 2
         victim = cache.insert(8)
-        assert victim.block == 4
+        assert victim[0] == 4
 
     def test_aging_finds_victim(self):
         policy = SRRIP(max_rrpv=3)
@@ -78,7 +78,7 @@ class TestSRRIP:
         cache.lookup(4)
         # Both promoted: aging loop must still terminate and pick one.
         victim = cache.insert(8)
-        assert victim.block in (0, 4)
+        assert victim[0] in (0, 4)
 
     def test_rejects_bad_max(self):
         with pytest.raises(ValueError):
