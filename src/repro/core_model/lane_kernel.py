@@ -129,11 +129,12 @@ AUTO_ARRAY_MIN_LANES = 128
 def lane_kernel_mode() -> str:
     """The lane-kernel path selected by ``REPRO_LANE_KERNEL``.
 
-    ``"auto"`` (the default) picks per batch: the array-resident kernel
-    for wide batches (>= ``AUTO_ARRAY_MIN_LANES`` lanes) and the dict
-    kernel for narrow ones. ``"array"`` / ``"dict"`` force one batched
-    path; ``"scalar"`` (also ``0``/``false``/``no``/``off``) forces the
-    scalar runner fallback.
+    ``"auto"`` (the default; also unset, empty or ``1``) picks per batch:
+    the array-resident kernel for wide batches (>= ``AUTO_ARRAY_MIN_LANES``
+    lanes) and the dict kernel for narrow ones. ``"array"`` / ``"dict"``
+    force one batched path; ``"scalar"`` (also ``0``/``false``/``no``/
+    ``off``) forces the scalar runner fallback. Matching ignores case;
+    any other value raises :class:`ValueError`.
     """
     # All paths are bit-identical (sanitizer-verified), so the mode
     # cannot change any task result.
@@ -143,7 +144,12 @@ def lane_kernel_mode() -> str:
         return "scalar"
     if value in ("dict", "array"):
         return value
-    return "auto"
+    if value in ("", "1", "auto"):
+        return "auto"
+    raise ValueError(
+        f"{LANE_KERNEL_ENV}={value!r} is not a lane-kernel mode; use one "
+        "of auto, 1, array, dict, scalar, 0, false, no, off"
+    )
 
 
 def lane_kernel_enabled() -> bool:

@@ -198,7 +198,7 @@ def run_replay_kernel(  # repro: hot
             l2_resident += 1
         # repro: mirror[lane-fill-l2] end
 
-    # Core timing state (mirrors run_compiled's non-kernel loop).
+    # Core timing state (the per-record loop body mirrors TraceCore.execute).
     rob_size = core.config.rob_size
     commit_cost = core._commit_cost
     dispatch_cost = core._dispatch_cost
@@ -234,6 +234,7 @@ def run_replay_kernel(  # repro: hot
     # Packed record flags: bit0 write, bit1 dependent (CompiledTrace.flags).
     # repro: dtype[rflags: int bits<=2]
     for pc, block, rflags, gap in zip(pcs, blocks, all_flags, gaps):
+        # repro: mirror[core-step] begin
         if gap:
             instructions += gap
             retire_time += gap * commit_cost
@@ -555,6 +556,7 @@ def run_replay_kernel(  # repro: hot
             hook_limits = record_hook(core)
             if hook_limits is not None:
                 hook_l2, hook_cycle = hook_limits
+        # repro: mirror[core-step] end
 
     # ------------------------------------------------------------ write-back
     core.instructions = instructions

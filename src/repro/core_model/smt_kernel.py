@@ -102,7 +102,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.smt.hill_climbing import HillClimbing
 
 #: Environment variable that disables the fused SMT kernel ("0"/"false"/
-#: "no"/"off"); unset or any other value keeps the fast path on.
+#: "no"/"off"); unset, empty or "1" keeps the fast path on. Any other value
+#: is an error.
 KERNEL_ENV = "REPRO_SMT_KERNEL"
 
 #: Called after each epoch with the (partially flushed) pipeline and the
@@ -119,7 +120,14 @@ def kernel_enabled() -> bool:
     # the gate cannot change any task result.
     # repro: cache-invariant[REPRO_SMT_KERNEL]
     value = os.environ.get(KERNEL_ENV, "").strip().lower()
-    return value not in ("0", "false", "no", "off")
+    if value in ("0", "false", "no", "off"):
+        return False
+    if value in ("", "1"):
+        return True
+    raise ValueError(
+        f"{KERNEL_ENV}={value!r} is not an on/off switch; use 1 (or unset) "
+        "to keep the kernel on, or one of 0, false, no, off"
+    )
 
 
 def kernel_eligible(pipeline: object) -> bool:

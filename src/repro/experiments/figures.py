@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bandit.base import BanditConfig, MABAlgorithm
+from repro.bandit.base import BanditConfig
 from repro.bandit.ducb import DUCB
 from repro.bandit.heuristics import Single
 from repro.bandit.ucb import UCB
@@ -26,12 +26,10 @@ from repro.constants import (
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
-    PREFETCH_BANDIT_CONFIG,
     PREFETCHER_LINEUP,
     SCALED_GAMMA,
     TABLE8_ALGORITHM_NAMES,
     scaled_prefetch_params,
-    table8_algorithm_lineup,
 )
 from repro.experiments.matrix import (
     MatrixSpec,
@@ -67,7 +65,6 @@ from repro.hwcost.area_power import (
 )
 from repro.prefetch.ensemble import TABLE7_ARMS
 from repro.prefetch.pythia import PythiaPrefetcher
-from repro.prefetch.stride import StridePrefetcher
 from repro.smt.pg_policy import (
     ALL_PG_POLICIES,
     BANDIT_PG_ARMS,
@@ -98,11 +95,6 @@ _scaled_params = scaled_prefetch_params
 
 def _num_arms() -> int:
     return len(TABLE7_ARMS)
-
-
-def _bandit_algorithms(seed: int, gamma: float = SCALED_GAMMA) -> Dict[str, MABAlgorithm]:
-    """The algorithm lineup of Tables 8/9 (prefetching hyperparameters)."""
-    return table8_algorithm_lineup(seed=seed, gamma=gamma, num_arms=_num_arms())
 
 
 # =============================================================== Figure 2
@@ -796,22 +788,6 @@ def fig12_multilevel(
         for combo, _, _ in combos:
             ratios[combo].append(next(results).ipc / base.ipc)
     return {name: geometric_mean(values) for name, values in ratios.items()}
-
-
-def run_bandit_prefetch_with_l1(trace, params=None, seed: int = 0) -> float:
-    """Stride at L1 + Bandit-controlled ensemble at L2; returns IPC.
-
-    Thin wrapper over :func:`run_bandit_prefetch`'s ``l1_prefetcher``
-    support, kept for API compatibility.
-    """
-    if params is None:
-        params = PREFETCH_BANDIT_CONFIG
-    return run_bandit_prefetch(
-        trace,
-        params=params,
-        seed=seed,
-        l1_prefetcher=StridePrefetcher(degree=2),
-    ).ipc
 
 
 # =============================================================== Figure 13

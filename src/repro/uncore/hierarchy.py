@@ -10,12 +10,18 @@ order (the trace-driven core guarantees this); ``load`` returns the cycle at
 which the data is available. Stores are write-allocate but non-blocking (the
 store buffer hides their latency from commit), which is how trace-driven
 prefetching studies typically treat them.
+
+This is the object path: one readable demand path (``_demand_access``) and
+one body per fill level, built on ``Cache.lookup``/``Cache.insert`` so plain
+and replacement-policy caches share them. The fused replay kernel
+(:mod:`repro.core_model.replay_kernel`) restates the same semantics for
+speed; ``# repro: mirror`` tags pair the two, and the equivalence sanitizer
+(``REPRO_SANITIZE=1``) checks the kernel against this code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Optional
 
 from repro.prefetch.base import Prefetcher
@@ -129,127 +135,17 @@ class CacheHierarchy:
     # --------------------------------------------------------------- internals
 
     # repro: mirror[demand-path]
-    def _demand_access(  # repro: hot
+    def _demand_access(
         self, pc: int, address: int, cycle: float, *, is_write: bool
     ) -> float:
-        """Fused demand path: lookups, fills, and MSHR checks inline.
+        """The demand path: L1 probe, L2/LLC/DRAM miss path, fills, prefetch.
 
-        Byte-for-byte equivalent to :meth:`_demand_access_generic` (the
-        readable reference implementation it falls back to whenever a cache
-        level is a replacement-policy subclass): same counter updates in the
-        same order, same recency order and line flags, same fill cascades.
-        The fusion only removes per-access method-call overhead —
-        ``Cache.lookup`` / ``Cache.insert`` / ``MSHR.drain_completed``
-        dispatches on the replay hot loop. Line flags are the
-        :mod:`repro.uncore.cache` encoding (bit0 prefetched, bit1 used,
-        bit2 dirty).
+        This is the oracle the fused replay kernel is checked against
+        (``REPRO_SANITIZE=1``): every cache level goes through its own
+        ``lookup``/``insert``, so replacement-policy caches need no
+        separate path. Line flags are the :mod:`repro.uncore.cache`
+        encoding (bit0 prefetched, bit1 used, bit2 dirty).
         """
-        l1 = self.l1
-        l2 = self.l2
-        llc = self.llc
-        if type(l1) is not Cache or type(l2) is not Cache or type(llc) is not Cache:
-            return self._demand_access_generic(pc, address, cycle, is_write=is_write)
-
-        config = self.config
-        block = address >> BLOCK_SHIFT
-        mshr = self.mshr
-        heap = mshr._heap
-        if heap and heap[0][0] <= cycle:
-            mshr.drain_completed(cycle, self._install_fill)
-
-        # Inlined l1.lookup(block) (+ the write's dirty bit).
-        cache_set = l1._sets[block % l1.num_sets]
-        line = cache_set.pop(block, None)
-        if line is None:
-            l1.misses += 1
-        else:
-            l1.hits += 1
-            cache_set[block] = (line | 6) if is_write else (line | 2)
-        if self.l1_prefetcher is not None:
-            self._run_l1_prefetcher(pc, block, cycle, hit=line is not None)
-        if line is not None:
-            return cycle + config.l1_latency
-
-        # L1 miss -> L2 demand access; this stream trains the L2 prefetcher.
-        stats = self.stats
-        l2_cycle = cycle + config.l1_latency
-        stats.l2_demand_accesses += 1
-        # Inlined l2.lookup(block).
-        l2_set = l2._sets[block % l2.num_sets]
-        l2_line = l2_set.pop(block, None)
-        if l2_line is not None:
-            l2.hits += 1
-            stats.l2_demand_hits += 1
-            if l2_line & 1:
-                # First demand use of a prefetched, resident line: timely.
-                stats.prefetch.timely += 1
-                l2_set[block] = (l2_line | 2) & ~1
-            else:
-                l2_set[block] = l2_line | 2
-            ready = l2_cycle + config.l2_latency
-        else:
-            l2.misses += 1
-            # Inlined _l2_miss(block, l2_cycle).
-            inflight = mshr._inflight.get(block)
-            if inflight is not None:
-                ready_cycle, is_prefetch = inflight
-                if is_prefetch:
-                    # Demand caught up with an in-flight prefetch: late.
-                    stats.prefetch.late += 1
-                    mshr.promote_to_demand(block)
-                    self._inflight_prefetches -= 1
-                l2_ready = l2_cycle + config.l2_latency
-                ready = ready_cycle if ready_cycle > l2_ready else l2_ready
-            else:
-                llc_cycle = l2_cycle + config.l2_latency
-                stats.llc_demand_accesses += 1
-                # Inlined llc.lookup(block).
-                llc_set = llc._sets[block % llc.num_sets]
-                llc_line = llc_set.pop(block, None)
-                if llc_line is not None:
-                    llc.hits += 1
-                    llc_set[block] = llc_line | 2
-                    stats.llc_demand_hits += 1
-                    ready = llc_cycle + config.llc_latency
-                    self._fill_l2(block, 0)
-                else:
-                    llc.misses += 1
-                    # DRAM fill through the MSHR (allocate inlined; the
-                    # in-flight probe above guarantees no duplicate entry).
-                    ready = self.dram.access(llc_cycle + config.llc_latency)
-                    stats.dram_demand_fills += 1
-                    inflight_map = mshr._inflight
-                    if len(inflight_map) < mshr.capacity:
-                        inflight_map[block] = (ready, False)
-                        heappush(heap, (ready, block))
-                    else:
-                        # MSHR pressure: the fill still happens, just
-                        # untracked (the demand already paid its latency).
-                        self._install_fill(block, ready, False)
-        # Inlined _fill_l1(block, dirty=is_write). An L1 prefetcher may
-        # have filled the block since the probe above.
-        existing = cache_set.pop(block, None)
-        if existing is not None:
-            cache_set[block] = (existing | 4) if is_write else existing
-        else:
-            victim = 0
-            if len(cache_set) >= l1.ways:
-                victim_block = next(iter(cache_set))
-                victim = cache_set.pop(victim_block)
-                l1._resident -= 1
-            cache_set[block] = 4 if is_write else 0
-            l1._resident += 1
-            if victim & 4:
-                # L1 writeback lands in L2 (no DRAM traffic).
-                self._fill_l2(victim_block, 4)
-        if self.l2_prefetcher is not None:
-            self._run_l2_prefetcher(pc, block, cycle, hit=l2_line is not None)
-        return ready
-
-    def _demand_access_generic(
-        self, pc: int, address: int, cycle: float, *, is_write: bool
-    ) -> float:
-        """Reference demand path (replacement-policy caches route here)."""
         config = self.config
         block = address >> BLOCK_SHIFT
         mshr = self.mshr
@@ -333,68 +229,30 @@ class CacheHierarchy:
             self._fill_l2(victim[0], LINE_DIRTY)
 
     # repro: mirror[fill-l2]
-    def _fill_l2(self, block: int, line: int) -> None:  # repro: hot
-        """Fill into L2: fused ``insert`` + victim handling for plain caches.
+    def _fill_l2(self, block: int, line: int) -> None:
+        """Fill ``block`` into L2; ``line`` holds its prefetched/dirty flags.
 
-        ``line`` is the incoming flags (bit0 prefetched, bit2 dirty); a
-        resident block only absorbs the dirty bit. The evicted line's
-        flags decide the wrong-prefetch count (``victim & 3 == 1``:
-        prefetched, never used) and the dirty cascade into the LLC.
+        A resident block only absorbs the dirty bit (``Cache.insert``). The
+        evicted line's flags decide the wrong-prefetch count (``flags & 3
+        == LINE_PREFETCHED``: prefetched, never used) and the dirty cascade
+        into the LLC.
         """
-        l2 = self.l2
-        if type(l2) is not Cache:
-            evicted = l2.insert(block, prefetched=bool(line & LINE_PREFETCHED),
+        victim = self.l2.insert(block, prefetched=bool(line & LINE_PREFETCHED),
                                 dirty=bool(line & LINE_DIRTY))
-            if evicted is not None:
-                if evicted[1] & 3 == LINE_PREFETCHED:
-                    self.stats.prefetch.wrong += 1
-                if evicted[1] & LINE_DIRTY:
-                    self._fill_llc(evicted[0], LINE_DIRTY)
-            return
-        cache_set = l2._sets[block % l2.num_sets]
-        existing = cache_set.pop(block, None)
-        if existing is not None:
-            cache_set[block] = existing | (line & 4)
-            return
-        if len(cache_set) >= l2.ways:
-            victim_block = next(iter(cache_set))
-            victim = cache_set.pop(victim_block)
-            if victim & 3 == 1:
+        if victim is not None:
+            if victim[1] & 3 == LINE_PREFETCHED:
                 self.stats.prefetch.wrong += 1
-            cache_set[block] = line
-            if victim & 4:
-                self._fill_llc(victim_block, 4)
-        else:
-            cache_set[block] = line
-            l2._resident += 1
+            if victim[1] & LINE_DIRTY:
+                self._fill_llc(victim[0], LINE_DIRTY)
 
     # repro: mirror[fill-llc]
-    def _fill_llc(self, block: int, line: int) -> None:  # repro: hot
-        llc = self.llc
-        if type(llc) is not Cache:
-            evicted = llc.insert(block, prefetched=bool(line & LINE_PREFETCHED),
+    def _fill_llc(self, block: int, line: int) -> None:
+        victim = self.llc.insert(block, prefetched=bool(line & LINE_PREFETCHED),
                                  dirty=bool(line & LINE_DIRTY))
-            if evicted is not None and evicted[1] & LINE_DIRTY:
-                self.stats.writebacks += 1
-                # Dirty LLC victims consume DRAM bandwidth; no one waits.
-                self.dram.writeback()
-            return
-        cache_set = llc._sets[block % llc.num_sets]
-        existing = cache_set.pop(block, None)
-        if existing is not None:
-            cache_set[block] = existing | (line & 4)
-            return
-        if len(cache_set) >= llc.ways:
-            victim_block = next(iter(cache_set))
-            victim = cache_set.pop(victim_block)
-            cache_set[block] = line
-            if victim & 4:
-                self.stats.writebacks += 1
-                # Dirty LLC victims consume DRAM bandwidth; no one waits.
-                self.dram.writeback()
-        else:
-            cache_set[block] = line
-            llc._resident += 1
+        if victim is not None and victim[1] & LINE_DIRTY:
+            self.stats.writebacks += 1
+            # Dirty LLC victims consume DRAM bandwidth; no one waits.
+            self.dram.writeback()
 
     # ------------------------------------------------------------ prefetching
 

@@ -530,12 +530,11 @@ def test_real_tree_one_sided_kernel_edit_fails_r10(tmp_path):
     assert "src/repro/uncore/hierarchy.py" in finding.message
 
 
-def test_real_tree_is_clean_under_project_rules():
-    """The shipped tree passes R8-R10 against its own manifest."""
-    findings = run_analysis(
-        [REPO_ROOT / "src"], rules=PROJECT_RULES, root=REPO_ROOT
-    )
-    assert findings == []
+def test_real_tree_is_clean_under_project_rules(src_findings):
+    """The shipped tree passes R8-R12 against its own manifest."""
+    project_codes = {rule.code for rule in PROJECT_RULES}
+    findings = [f for f in src_findings if f.rule in project_codes]
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
 def test_manifest_document_shape():

@@ -7,16 +7,14 @@ tier-1 suite means a new violation fails locally before it reaches CI.
 from pathlib import Path
 
 from repro.analysis.baseline import load_baseline, split_by_baseline
-from repro.analysis.core import run_analysis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
-def test_src_is_clean_modulo_baseline():
-    findings = run_analysis([REPO_ROOT / "src"], root=REPO_ROOT)
+def test_src_is_clean_modulo_baseline(src_findings):
     accepted = load_baseline(BASELINE)
-    new, _ = split_by_baseline(findings, accepted)
+    new, _ = split_by_baseline(src_findings, accepted)
     assert new == [], "\n".join(f.format() for f in new)
 
 

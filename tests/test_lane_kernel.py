@@ -16,7 +16,6 @@ from repro.core_model.lane_kernel import (
     run_lane_batch,
 )
 from repro.core_model.sanitizer import SANITIZE_ENV, SanitizeDivergence
-from repro.core_model.trace_core import CoreConfig
 from repro.experiments.configs import (
     ALT_HIERARCHY_CONFIG,
     BASELINE_HIERARCHY_CONFIG,
@@ -134,6 +133,19 @@ class TestAutoRouting:
         monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)
         assert lane_kernel_mode() == "auto"
         assert lane_kernel_enabled()
+
+    @pytest.mark.parametrize("value", ["auto", "AUTO", "1", ""])
+    def test_auto_spellings(self, monkeypatch, value):
+        monkeypatch.setenv(LANE_KERNEL_ENV, value)
+        assert lane_kernel_mode() == "auto"
+
+    @pytest.mark.parametrize("value", ["arrray", "vector", "2"])
+    def test_unknown_mode_fails_loudly(self, monkeypatch, value):
+        monkeypatch.setenv(LANE_KERNEL_ENV, value)
+        with pytest.raises(ValueError, match="REPRO_LANE_KERNEL"):
+            lane_kernel_mode()
+        with pytest.raises(ValueError, match="auto, 1, array, dict, scalar"):
+            resolve_lane_kernel_mode(len(LANES))
 
     def test_auto_resolves_by_batch_width(self, monkeypatch):
         monkeypatch.delenv(LANE_KERNEL_ENV, raising=False)

@@ -42,6 +42,20 @@ class TestDispatch:
         monkeypatch.setenv(KERNEL_ENV, value)
         assert not kernel_enabled()
 
+    @pytest.mark.parametrize("value", ["1", ""])
+    def test_env_on_spellings(self, monkeypatch, value):
+        monkeypatch.setenv(KERNEL_ENV, value)
+        assert kernel_enabled()
+
+    @pytest.mark.parametrize("value", ["of", "yes please", "2"])
+    def test_unknown_env_value_fails_loudly(self, monkeypatch, value):
+        monkeypatch.setenv(KERNEL_ENV, value)
+        with pytest.raises(ValueError, match="REPRO_SMT_KERNEL"):
+            kernel_enabled()
+        pipeline = SMTPipeline(list(MIX), CHOI_POLICY, seed=0)
+        with pytest.raises(ValueError, match="0, false, no, off"):
+            kernel_eligible(pipeline)
+
     def test_subclass_falls_back_to_object_path(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
 
